@@ -1,10 +1,15 @@
 """Evaluable functions on field space and the oscillator-group action.
 
-A ``FieldFunction`` is a pure evaluator plus structural metadata: a kind tag
-(polynomial / exp-polynomial / gaussian / composite), an optional coefficient
-table for polynomial kinds, and an integrability flag.  Closed forms are
-recognized by tag where a caller cares; everything else is evaluated
-pointwise and integrated with tensor-product Gauss-Hermite quadrature.
+A ``FieldFunction`` is a pure evaluator plus structural metadata: the
+coefficient table of a polynomial (or of the exponent of an exp-polynomial)
+and an integrability flag.  Functions are evaluated pointwise and
+integrated with tensor-product Gauss-Hermite quadrature.
+
+Evaluators work on blocks of points: an (m, n) array, one point per row,
+maps to the (m,) array of values.  ``f.values(points)`` is the batched
+public entry and ``f(x)`` the single-point one; both validate their input.
+Each row's value is reduced in a fixed order that does not depend on the
+other rows of the block, so batching never changes a value.
 
 The group acts on the right:
 
@@ -16,9 +21,7 @@ so that integrals are preserved under the change of variables.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,80 +34,78 @@ from .errors import (
     NotPositiveDefinite,
     QuadratureOverflow,
 )
-from .gaussian import GaussianMeasure
+# default_order stays importable from here, where it was first defined.
+from .gaussian import GaussianMeasure, QuadratureRule, default_order  # noqa: F401
 from .oscgroup import OscElement
-from .tensors import GlElement, Sym2Tensor, as_vector, cholesky, is_positive_definite
-
-#: Default Gauss-Hermite order per dimension; tensor-product cost is q^n.
-DEFAULT_ORDERS = {1: 40, 2: 20, 3: 12, 4: 8}
+from .tensors import GlElement, Sym2Tensor, as_block, as_vector, is_positive_definite
 
 #: log of the largest representable integrand factor before we bail out.
 _OVERFLOW_LOG = 700.0
 
+#: Most (point, node) integrand rows one chunk of a Gaussian convolution
+#: evaluates at once; bounds the memory of its temporaries.
+_CHUNK_ROWS = 4096
+
 _LEADING_FORM_SAMPLES = 100
 
 
-def default_order(dim: int) -> int:
-    try:
-        return DEFAULT_ORDERS[dim]
-    except KeyError:
-        raise DimensionMismatch(
-            f"quadrature supported for dimensions {sorted(DEFAULT_ORDERS)}, got {dim}"
-        ) from None
+def monomials(X: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(m, k) values of the monomials x^e, e the rows of ``exponents``, at the
+    rows of X; built one coordinate at a time, with no (m, k, n) temporary."""
+    out = X[:, :1] ** exponents[:, 0]
+    for j in range(1, X.shape[1]):
+        out *= X[:, j:j + 1] ** exponents[:, j]
+    return out
 
 
-def _poly_eval(terms, x):
-    total = 0.0
-    for exponents, coeff in terms:
-        total += coeff * float(np.prod(x ** np.asarray(exponents)))
-    return total
+def _poly_values(X, exponents, coeffs) -> np.ndarray:
+    return np.sum(monomials(X, exponents) * coeffs, axis=1)
 
 
-def _leading_form_is_negative(terms, dim, seed=0):
-    """Sample the top-degree form on random directions; all must be < 0."""
-    degree = max(sum(e) for e, _ in terms)
-    leading = [(e, c) for e, c in terms if sum(e) == degree]
-    rng = np.random.default_rng(seed)
-    count = (2**dim) * _LEADING_FORM_SAMPLES
-    for _ in range(count):
-        u = rng.normal(size=dim)
-        u /= np.linalg.norm(u)
-        if _poly_eval(leading, u) >= 0.0:
-            return False
-    return True
+def _apply(m: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rows of X mapped by the matrix m, i.e. X @ m.T, summed row by row."""
+    return np.sum(X[:, None, :] * m, axis=2)
 
 
-def polynomial_is_exp_integrable(terms, dim: int) -> bool:
+def _exp_integrable(exponents: np.ndarray, coeffs: np.ndarray) -> bool:
     """Whether exp of the polynomial has Gaussian-dominated decay.
 
     Degree <= 1 is always fine (any Gaussian factor dominates); otherwise the
     maximal total degree must be even with a strictly negative leading form
-    on sampled directions.
+    on sampled random directions.
     """
-    terms = [(tuple(e), float(c)) for e, c in terms if c != 0.0]
-    if not terms:
-        return True
-    degree = max(sum(e) for e, _ in terms)
+    degrees = exponents.sum(axis=1)
+    degree = degrees.max(initial=0)
     if degree <= 1:
         return True
     if degree % 2 != 0:
         return False
-    return _leading_form_is_negative(terms, dim)
+    leading = degrees == degree
+    dim = exponents.shape[1]
+    u = np.random.default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return bool(np.all(_poly_values(u, exponents[leading], coeffs[leading]) < 0.0))
 
 
 @dataclass(frozen=True)
 class FieldFunction:
-    """Evaluable real-valued function on R^n."""
+    """Evaluable real-valued function on R^n.
+
+    ``evaluator`` maps a validated (m, n) block of points to its (m,)
+    values.
+    """
 
     evaluator: object
     dim: int
-    kind: str = "composite"
     terms: tuple = None
     integrable: bool = False
 
+    def values(self, points) -> np.ndarray:
+        """Values at the rows of an (m, n) block of points."""
+        return self.evaluator(as_block(points, self.dim))
+
     def __call__(self, x) -> float:
-        v = as_vector(x, self.dim)
-        return float(self.evaluator(v))
+        return float(self.evaluator(as_vector(x, self.dim)[None, :])[0])
 
     @classmethod
     def polynomial(cls, terms, dim: int) -> "FieldFunction":
@@ -121,24 +122,18 @@ class FieldFunction:
             if coeff != 0.0:
                 clean.append((e, float(coeff)))
         clean = tuple(sorted(clean))
+        exponents = np.array([e for e, _ in clean], dtype=int).reshape(len(clean), dim)
+        coeffs = np.array([c for _, c in clean])
         return cls(
-            evaluator=lambda x: _poly_eval(clean, x),
+            evaluator=lambda X: _poly_values(X, exponents, coeffs),
             dim=dim,
-            kind="polynomial",
             terms=clean,
-            integrable=polynomial_is_exp_integrable(clean, dim),
+            integrable=_exp_integrable(exponents, coeffs),
         )
 
     @classmethod
     def constant(cls, value: float, dim: int) -> "FieldFunction":
-        value = float(value)
-        return cls(
-            evaluator=lambda x: value,
-            dim=dim,
-            kind="polynomial",
-            terms=((tuple([0] * dim), value),) if value != 0.0 else (),
-            integrable=True,
-        )
+        return cls.polynomial([((0,) * dim, float(value))], dim)
 
     @classmethod
     def zero(cls, dim: int) -> "FieldFunction":
@@ -147,9 +142,7 @@ class FieldFunction:
     @classmethod
     def gaussian(cls, C: Sym2Tensor) -> "FieldFunction":
         g = GaussianMeasure(C)
-        return cls(
-            evaluator=g.eval, dim=C.dim, kind="gaussian", integrable=True
-        )
+        return cls(lambda X: np.exp(g.log_density(X)), C.dim, integrable=True)
 
     @classmethod
     def exp_polynomial(cls, terms, dim: int) -> "FieldFunction":
@@ -161,16 +154,15 @@ class FieldFunction:
                 "negative-definite leading form"
             )
         return cls(
-            evaluator=lambda x: math.exp(poly.evaluator(x)),
+            evaluator=lambda X: np.exp(poly.evaluator(X)),
             dim=dim,
-            kind="exp-polynomial",
             terms=poly.terms,
             integrable=True,
         )
 
     def terms_to_json(self) -> dict:
         if self.terms is None:
-            raise ValueError("only polynomial kinds carry a coefficient table")
+            raise ValueError("only polynomials carry a coefficient table")
         return {
             "terms": [
                 {"exponents": list(e), "coeff": c} for e, c in self.terms
@@ -183,59 +175,18 @@ class FieldFunction:
         return cls.polynomial(terms, dim)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product Gauss-Hermite rule for a Gaussian weight N(0, C).
-
-    ``nodes`` holds the transformed points x_i = sqrt(2) L t_i (L the
-    Cholesky factor of C) in canonical lexicographic order; ``weights`` are
-    normalized to sum to 1, so the rule computes expectations under N(0, C).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    covariance: Sym2Tensor
-    order: int
-    chol: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def dim(self) -> int:
-        return self.covariance.dim
-
-    @classmethod
-    def for_covariance(cls, C: Sym2Tensor, order: int | None = None) -> "QuadratureRule":
-        if not is_positive_definite(C):
-            raise NotPositiveDefinite("quadrature weight covariance must be PD")
-        n = C.dim
-        q = int(order) if order is not None else default_order(n)
-        t, w = np.polynomial.hermite.hermgauss(q)
-        w = w / math.sqrt(math.pi)
-        L = cholesky(C)
-        # Lexicographic tensor product fixes the reduction order.
-        grids = np.array(list(itertools.product(t, repeat=n)))
-        weights = np.prod(
-            np.array(list(itertools.product(w, repeat=n))), axis=1
-        )
-        nodes = math.sqrt(2.0) * grids @ L.T
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(nodes=nodes, weights=weights, covariance=C, order=q, chol=L)
-
-
 def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:
     """Right action (sigma f)(x) = exp(k(x) + c) f(Mx + v)."""
     if f.dim != g.dim:
         raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {g.dim}")
     m, k, v, c = g.m.matrix, g.k, g.v, g.c
 
-    def evaluator(x):
-        return math.exp(float(k @ x) + c) * f.evaluator(m @ x + v)
+    def evaluator(X):
+        return np.exp(np.sum(X * k, axis=1) + c) * f.evaluator(_apply(m, X) + v)
 
     # Gaussian-dominated decay survives the action: M is invertible and the
     # exponential-linear prefactor is subdominant.
-    return FieldFunction(
-        evaluator=evaluator, dim=f.dim, kind="composite", integrable=f.integrable
-    )
+    return FieldFunction(evaluator, f.dim, integrable=f.integrable)
 
 
 def act_fun(M: GlElement, f: FieldFunction) -> FieldFunction:
@@ -246,10 +197,7 @@ def act_fun(M: GlElement, f: FieldFunction) -> FieldFunction:
         raise NonPositiveDeterminant(f"det(M) = {M.det:.6g} must be positive")
     d, m = M.det, M.matrix
     return FieldFunction(
-        evaluator=lambda x: d * f.evaluator(m @ x),
-        dim=f.dim,
-        kind="composite",
-        integrable=f.integrable,
+        lambda X: d * f.evaluator(_apply(m, X)), f.dim, integrable=f.integrable
     )
 
 
@@ -259,10 +207,7 @@ def compose(f: FieldFunction, M: GlElement) -> FieldFunction:
         raise DimensionMismatch(f"dimension mismatch: {M.dim} vs {f.dim}")
     m = M.matrix
     return FieldFunction(
-        evaluator=lambda x: f.evaluator(m @ x),
-        dim=f.dim,
-        kind="composite",
-        integrable=f.integrable,
+        lambda X: f.evaluator(_apply(m, X)), f.dim, integrable=f.integrable
     )
 
 
@@ -281,21 +226,19 @@ def convolve_numeric(
     if not (f.integrable or g.integrable):
         raise NotIntegrable("at least one convolution factor must be integrable")
     xv = as_vector(x, f.dim)
-    weight = GaussianMeasure(rule.covariance)
-    total = 0.0
-    for y, w in zip(rule.nodes, rule.weights):
-        fy = f.evaluator(y)
-        gy = g.evaluator(xv - y)
-        prod = fy * gy
-        if prod == 0.0:
-            continue
-        log_mag = math.log(abs(prod)) - weight.log_eval(y)
-        if log_mag > _OVERFLOW_LOG:
-            raise QuadratureOverflow(
-                f"integrand magnitude exp({log_mag:.1f}) at node {y}"
-            )
-        total += w * math.copysign(math.exp(log_mag), prod)
-    return total
+    nodes = rule.nodes
+    # An overflowing product fails the guard below; a zero one gives
+    # log 0 = -inf and contributes exactly 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        prod = f.evaluator(nodes) * g.evaluator(xv - nodes)
+        log_mag = np.log(np.abs(prod)) - GaussianMeasure(rule.covariance).log_density(nodes)
+    hot = np.flatnonzero(log_mag > _OVERFLOW_LOG)
+    if hot.size:
+        i = hot[0]
+        raise QuadratureOverflow(
+            f"integrand magnitude exp({log_mag[i]:.1f}) at node {nodes[i]}"
+        )
+    return float(np.sum(rule.weights * np.sign(prod) * np.exp(log_mag)))
 
 
 def gauss_convolve_exp(
@@ -308,8 +251,8 @@ def gauss_convolve_exp(
 
     Computed at each point as the expectation of exp(I(x - y)) over
     y ~ N(0, P), via Hermite nodes transformed by the Cholesky factor of P.
-    Evaluations are memoized on the exact bit pattern of the input point,
-    since nested coarse-graining revisits the same quadrature nodes.
+    A block of points is taken in chunks of at most ``_CHUNK_ROWS``
+    (point, node) rows, each reduced with one log-sum-exp per point.
     """
     if not is_positive_definite(P):
         raise NotPositiveDefinite("convolution covariance must be positive definite")
@@ -322,43 +265,43 @@ def gauss_convolve_exp(
     elif rule.dim != P.dim:
         raise DimensionMismatch("rule dimension does not match covariance")
     nodes, log_weights = rule.nodes, np.log(rule.weights)
-    cache: dict[bytes, float] = {}
+    per_chunk = max(1, _CHUNK_ROWS // len(nodes))
 
-    def evaluator(x):
-        key = x.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        exponents = np.array(
-            [lw + I.evaluator(x - y) for y, lw in zip(nodes, log_weights)]
-        )
-        peak = exponents.max()
-        if peak > _OVERFLOW_LOG:
-            raise QuadratureOverflow(
-                f"integrand magnitude exp({peak:.1f}) at a shifted node"
-            )
-        value = math.exp(peak) * float(np.sum(np.exp(exponents - peak)))
-        if not value > 0.0:
-            raise NonPositiveConvolution(
-                "Gaussian convolution of a positive integrand came out <= 0"
-            )
-        cache[key] = value
-        return value
+    def evaluator(X):
+        out = np.empty(len(X))
+        for lo in range(0, len(X), per_chunk):
+            x = X[lo:lo + per_chunk]
+            shifted = (x[:, None, :] - nodes).reshape(-1, P.dim)
+            exponents = log_weights + I.evaluator(shifted).reshape(len(x), -1)
+            peak = exponents.max(axis=1)
+            hot = np.flatnonzero(peak > _OVERFLOW_LOG)
+            if hot.size:
+                raise QuadratureOverflow(
+                    f"integrand magnitude exp({peak[hot[0]]:.1f}) at a shifted "
+                    f"node for the point {x[hot[0]]}"
+                )
+            value = np.exp(peak) * np.sum(np.exp(exponents - peak[:, None]), axis=1)
+            bad = np.flatnonzero(~(value > 0.0))
+            if bad.size:
+                raise NonPositiveConvolution(
+                    "Gaussian convolution of a positive integrand came out <= 0 "
+                    f"at {x[bad[0]]}"
+                )
+            out[lo:lo + per_chunk] = value
+        return out
 
-    return FieldFunction(
-        evaluator=evaluator, dim=P.dim, kind="composite", integrable=True
-    )
+    return FieldFunction(evaluator, P.dim, integrable=True)
 
 
 def log_fn(f: FieldFunction) -> FieldFunction:
     """Pointwise natural log; raises at evaluation on non-positive values."""
 
-    def evaluator(x):
-        value = f.evaluator(x)
-        if value <= 0.0:
-            raise NonPositiveValue(f"log of non-positive value {value} at {x}")
-        return math.log(value)
+    def evaluator(X):
+        values = f.evaluator(X)
+        bad = np.flatnonzero(values <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise NonPositiveValue(f"log of non-positive value {values[i]} at {X[i]}")
+        return np.log(values)
 
-    return FieldFunction(
-        evaluator=evaluator, dim=f.dim, kind="composite", integrable=f.integrable
-    )
+    return FieldFunction(evaluator, f.dim, integrable=f.integrable)

@@ -4,11 +4,13 @@ The density of N[C] is (2 pi)^(-n/2) det(C)^(-1/2) exp(-x C^{-1} x / 2).
 Convolution adds covariances exactly, and GL(V) acts through
 det(M) N(C) o M = N(M^{-1} C M^{-T}).  Evaluation is done in the log
 domain (log-normalizer plus quadratic form) and exponentiated at the
-boundary.
+boundary.  Expectations under N(C) are taken with a tensor-product
+Gauss-Hermite ``QuadratureRule``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,19 +22,31 @@ from .tensors import (
     GlElement,
     Sym2Tensor,
     act_sym,
+    as_block,
     as_vector,
     cholesky,
-    invert_form,
     is_positive_definite,
 )
+
+#: Default Gauss-Hermite order per dimension; tensor-product cost is q^n.
+DEFAULT_ORDERS = {1: 40, 2: 20, 3: 12, 4: 8}
+
+
+def default_order(dim: int) -> int:
+    try:
+        return DEFAULT_ORDERS[dim]
+    except KeyError:
+        raise DimensionMismatch(
+            f"quadrature supported for dimensions {sorted(DEFAULT_ORDERS)}, got {dim}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class GaussianMeasure:
     """Mean-zero Gaussian N[C] with positive-definite covariance.
 
-    The inverse covariance, Cholesky factor and log-normalizer are computed
-    once at construction; evaluation is pure and thread-safe.
+    The Cholesky factor and log-normalizer are computed once at
+    construction; evaluation is pure and thread-safe.
     """
 
     covariance: Sym2Tensor
@@ -46,24 +60,19 @@ class GaussianMeasure:
         log_norm = -0.5 * (n * math.log(2.0 * math.pi) + log_det)
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_log_norm", log_norm)
-        object.__setattr__(self, "_inverse", invert_form(self.covariance))
 
     @property
     def dim(self) -> int:
         return self.covariance.dim
 
-    @property
-    def inverse_covariance(self) -> Sym2Tensor:
-        return self._inverse
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
+    def log_density(self, points) -> np.ndarray:
+        """log N[C] at each row of an (m, n) block of points."""
+        X = as_block(points, self.dim)
+        solved = cho_solve((self._chol, True), X.T).T
+        return self._log_norm - 0.5 * np.sum(X * solved, axis=1)
 
     def log_eval(self, x) -> float:
-        xv = as_vector(x, self.dim)
-        solved = cho_solve((self._chol, True), xv)
-        return self._log_norm - 0.5 * float(xv @ solved)
+        return float(self.log_density(as_vector(x, self.dim)[None, :])[0])
 
     def eval(self, x) -> float:
         return math.exp(self.log_eval(x))
@@ -74,6 +83,42 @@ class GaussianMeasure:
     @classmethod
     def from_json(cls, data: dict) -> "GaussianMeasure":
         return cls(Sym2Tensor.from_json(data["covariance"]))
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Tensor-product Gauss-Hermite rule for a Gaussian weight N(0, C).
+
+    ``nodes`` holds the transformed points x_i = sqrt(2) L t_i (L the
+    Cholesky factor of C) in canonical lexicographic order; ``weights`` are
+    normalized to sum to 1, so the rule computes expectations under N(0, C).
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    covariance: Sym2Tensor
+    order: int
+
+    @property
+    def dim(self) -> int:
+        return self.covariance.dim
+
+    @classmethod
+    def for_covariance(cls, C: Sym2Tensor, order: int | None = None) -> "QuadratureRule":
+        if not is_positive_definite(C):
+            raise NotPositiveDefinite("quadrature weight covariance must be PD")
+        n = C.dim
+        q = int(order) if order is not None else default_order(n)
+        t, w = np.polynomial.hermite.hermgauss(q)
+        w = w / math.sqrt(math.pi)
+        L = cholesky(C)
+        # Lexicographic tensor product fixes the reduction order.
+        grids = np.array(list(itertools.product(t, repeat=n)))
+        weights = np.prod(np.array(list(itertools.product(w, repeat=n))), axis=1)
+        nodes = math.sqrt(2.0) * grids @ L.T
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return cls(nodes=nodes, weights=weights, covariance=C, order=q)
 
 
 def gaussian_eval(g: GaussianMeasure, x) -> float:
@@ -115,21 +160,12 @@ def normalization_by_quadrature(g: GaussianMeasure, order: int | None = None) ->
     The weight covariance is deliberately inflated to 2C so the result is a
     genuine quadrature estimate rather than an identity of the rule.
     """
-    import itertools
-
     if order is None:
         order = {1: 40, 2: 24, 3: 14}.get(g.dim, 10)
-    t, w = np.polynomial.hermite.hermgauss(order)
-    w = w / math.sqrt(math.pi)
-    n = g.dim
     weight = GaussianMeasure(2.0 * g.covariance)
-    grids = np.array(list(itertools.product(t, repeat=n)))
-    weights = np.prod(np.array(list(itertools.product(w, repeat=n))), axis=1)
-    nodes = math.sqrt(2.0) * grids @ weight.chol.T
-    total = 0.0
-    for y, wt in zip(nodes, weights):
-        total += wt * math.exp(g.log_eval(y) - weight.log_eval(y))
-    return total
+    rule = QuadratureRule.for_covariance(weight.covariance, order)
+    ratio = np.exp(g.log_density(rule.nodes) - weight.log_density(rule.nodes))
+    return float(np.sum(rule.weights * ratio))
 
 
 def check_gauss_char(

@@ -36,12 +36,21 @@ from .errors import (
     NonPositiveScale,
     NotPositiveDefinite,
 )
-from .functions import FieldFunction, QuadratureRule, act_fun, compose, gauss_convolve_exp, log_fn
+from .functions import (
+    FieldFunction,
+    QuadratureRule,
+    act_fun,
+    compose,
+    gauss_convolve_exp,
+    log_fn,
+    monomials,
+)
 from .oscgroup import UrElement, ur
 from .tensors import (
     GlElement,
     Sym2Tensor,
     act_sym,
+    as_block,
     as_vector,
     contract,
     is_positive_definite,
@@ -234,9 +243,7 @@ def wtilde(
         return I
     convolved = gauss_convolve_exp(P, I, rule=rule, order=order)
     logged = log_fn(convolved)
-    return FieldFunction(
-        evaluator=logged.evaluator, dim=logged.dim, kind="composite", integrable=True
-    )
+    return FieldFunction(logged.evaluator, logged.dim, integrable=True)
 
 
 def w_full(
@@ -345,28 +352,27 @@ def _norm(t: Sym2Tensor) -> float:
 
 
 def project_polynomial(
-    f: FieldFunction, points, degree: int
+    f: FieldFunction, points, degree: int, values=None
 ) -> tuple[FieldFunction, float]:
     """Least-squares polynomial fit of f on the given points.
 
     Returns the fitted polynomial (total degree <= ``degree``, capped at 8)
-    and the root-mean-square residual of the fit.  Intended for reporting
-    flow tables, not for feeding back into the flow itself.
+    and the root-mean-square residual of the fit.  ``values``, if given, are
+    f's values at ``points``, so that f is not evaluated again.  Intended
+    for reporting flow tables, not for feeding back into the flow itself.
     """
     import itertools
 
     degree = min(int(degree), 8)
-    pts = [as_vector(p, f.dim) for p in points]
+    pts = as_block(points, f.dim)
     exponents = [
         e
         for e in itertools.product(range(degree + 1), repeat=f.dim)
         if sum(e) <= degree
     ]
     exponents.sort(key=lambda e: (sum(e), e))
-    design = np.array(
-        [[float(np.prod(p ** np.asarray(e))) for e in exponents] for p in pts]
-    )
-    values = np.array([f(p) for p in pts])
+    design = monomials(pts, np.array(exponents))
+    values = f.values(pts) if values is None else np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))
     fitted = FieldFunction.polynomial(

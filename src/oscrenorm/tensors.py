@@ -43,6 +43,19 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_block(points, dim: int) -> np.ndarray:
+    """Coerce ``points`` to a finite (m, dim) float array, one point per row,
+    with m >= 1; it fails the way ``as_vector`` does on each row."""
+    b = np.asarray(points, dtype=float)
+    if b.ndim != 2 or b.shape[0] < 1:
+        raise DimensionMismatch(f"expected an (m, n) block of points, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("vector entries must be finite")
+    if b.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {b.shape[1]}")
+    return b
+
+
 def _as_square(matrix, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim == 0:

@@ -1,7 +1,13 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oscrenorm
+from oscrenorm import cli
 from oscrenorm.cli import load_config, main
 from oscrenorm.errors import ConfigError
 
@@ -178,3 +184,60 @@ class TestWtildeCommand:
         a, p = 0.5, 1.0
         expected = -0.5 * math.log(1.0 + a * p) - 0.5 * a / (1.0 + a * p)
         assert value == pytest.approx(expected, rel=1e-9)
+
+
+class TestBatchedFlow:
+    def test_evaluates_each_record_once(self, tmp_path, monkeypatch):
+        # Each flowed interaction is evaluated in one call on the whole
+        # sample block; the projection reuses those values.
+        shapes = []
+        real_step = cli.renorm_step
+
+        def counting_step(*args, **kwargs):
+            flowed = real_step(*args, **kwargs)
+
+            def evaluator(X):
+                shapes.append(X.shape)
+                return flowed.evaluator(X)
+
+            return dataclasses.replace(flowed, evaluator=evaluator)
+
+        monkeypatch.setattr(cli, "renorm_step", counting_step)
+        cfg = write_config(tmp_path, scale_ladder=[2.0, 4.0])
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "f.json")]) == 0
+        assert shapes == [(5, 1), (5, 1)]
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            dimension=2,
+            propagator={"base": [[1.0, 0.3], [0.3, 0.8]]},
+            interaction={"terms": [
+                {"exponents": [4, 0], "coeff": -0.1},
+                {"exponents": [0, 4], "coeff": -0.08},
+                {"exponents": [2, 2], "coeff": -0.05},
+                {"exponents": [1, 1], "coeff": 0.1},
+            ]},
+            sample_points=[[0.3, -0.4], [0.1, 0.2], [-0.5, 0.6], [0.7, 0.0]],
+            quadrature_order=8,
+            projection_degree=2,
+            semigroup_check_c=4.0,
+        )
+        src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+                PYTHONPATH=src,
+            )
+            out = tmp_path / f"flow-{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "oscrenorm.cli", "flow",
+                 "--config", cfg, "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -223,7 +223,7 @@ class TestConvolveNumeric:
 
     def test_overflow_guard(self):
         big = FieldFunction(
-            evaluator=lambda x: 1e300, dim=1, kind="composite", integrable=True
+            evaluator=lambda X: np.full(len(X), 1e300), dim=1, integrable=True
         )
         rule = QuadratureRule.for_covariance(Sym2Tensor([[100.0]]), order=10)
         with pytest.raises(QuadratureOverflow):
@@ -258,24 +258,6 @@ class TestGaussConvolveExp:
                 convolve_numeric(gp, exp_I, rule, [x]), rel=1e-5
             )
 
-    def test_memoization(self):
-        calls = []
-        base = quartic_1d()
-
-        def counting(x):
-            calls.append(1)
-            return base.evaluator(x)
-
-        I = FieldFunction(
-            evaluator=counting, dim=1, kind="composite", integrable=True
-        )
-        out = gauss_convolve_exp(Sym2Tensor([[1.0]]), I, order=10)
-        x = np.array([0.5])
-        out(x)
-        first = len(calls)
-        out(x)
-        assert len(calls) == first
-
     def test_rejects_nonintegrable(self):
         p = FieldFunction.polynomial([((4,), 1.0)], dim=1)
         with pytest.raises(NotIntegrable):
@@ -283,7 +265,7 @@ class TestGaussConvolveExp:
 
     def test_overflow_guard(self):
         I = FieldFunction(
-            evaluator=lambda x: 800.0, dim=1, kind="composite", integrable=True
+            evaluator=lambda X: np.full(len(X), 800.0), dim=1, integrable=True
         )
         out = gauss_convolve_exp(Sym2Tensor([[1.0]]), I, order=10)
         with pytest.raises(QuadratureOverflow):

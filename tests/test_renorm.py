@@ -307,8 +307,8 @@ class TestProjectPolynomial:
 
     def test_residual_reported_for_nonpolynomial(self):
         f = FieldFunction(
-            evaluator=lambda x: math.sin(float(x[0])), dim=1,
-            kind="composite", integrable=False,
+            evaluator=lambda X: np.sin(X[:, 0]), dim=1,
+            integrable=False,
         )
         pts = [[x] for x in np.linspace(-3.0, 3.0, 31)]
         _, residual = project_polynomial(f, pts, degree=1)
