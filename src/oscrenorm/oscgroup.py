@@ -19,12 +19,13 @@ addition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensors import GlElement, Sym2Tensor, act_sym, as_vector, contract, quad_form
+from .tensors import GlElement, Sym2Tensor, _inf_norm, act_sym, as_vector
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,10 @@ class OscElement:
     def __post_init__(self):
         object.__setattr__(self, "k", as_vector(self.k, self.m.dim))
         object.__setattr__(self, "v", as_vector(self.v, self.m.dim))
-        object.__setattr__(self, "c", float(self.c))
+        c = float(self.c)
+        if not math.isfinite(c):
+            raise ValueError("vector entries must be finite")
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
@@ -131,8 +135,8 @@ class Section:
             raise DimensionMismatch(f"linear part must be square, got {a.shape}")
         if a.shape[0] != self.b.dim:
             raise DimensionMismatch("linear and quadratic parts differ in dimension")
-        scale = max(np.linalg.norm(a, np.inf), 1.0)
-        if np.linalg.norm(a - self.b.matrix, np.inf) > 1e-10 * scale:
+        scale = max(_inf_norm(a), 1.0)
+        if _inf_norm(a - self.b.matrix) > 1e-10 * scale:
             raise DimensionMismatch(
                 "section data inconsistent: quadratic part must polarize "
                 "onto the linear part"
@@ -173,7 +177,7 @@ def an_apply(C: Sym2Tensor, k) -> OscElement:
     """Value of the annihilation section: (id, k, Ck, kCk/2)."""
     kv = as_vector(k, C.dim)
     return OscElement(
-        GlElement.identity(C.dim), kv, contract(C, kv), 0.5 * quad_form(kv, C)
+        GlElement.identity(C.dim), kv, C.matrix @ kv, 0.5 * float(kv @ C.matrix @ kv)
     )
 
 

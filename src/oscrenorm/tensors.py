@@ -5,12 +5,17 @@ Vectors and dual vectors are plain 1-D numpy arrays.  Symmetric 2-tensors
 wrappers that enforce their invariants at construction time.  The
 conjugation action of an invertible transform M on a symmetric tensor C is
 fixed as M C M^T throughout (row-major convention).
+
+Validation rule: public constructors validate fully (shape, dimension cap,
+finiteness, and symmetry or conditioning).  Entry-by-entry arithmetic on
+validated symmetric tensors (``+``, ``-``, unary ``-``, scalar ``*``) yields
+a bit-for-bit symmetric result, so it re-checks only finiteness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,7 +41,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
@@ -49,7 +54,7 @@ def as_block(points, dim: int) -> np.ndarray:
     b = np.asarray(points, dtype=float)
     if b.ndim != 2 or b.shape[0] < 1:
         raise DimensionMismatch(f"expected an (m, n) block of points, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("vector entries must be finite")
     if b.shape[1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {b.shape[1]}")
@@ -66,16 +71,21 @@ def _as_square(matrix, what: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{what} dimension {m.shape[0]} exceeds supported cap {MAX_DIM}"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite")
     return m
+
+
+def _inf_norm(m: np.ndarray) -> float:
+    """Max absolute row sum; the same reduction as ``np.linalg.norm(m, np.inf)``."""
+    return np.abs(m).sum(axis=1).max()
 
 
 @dataclass(frozen=True)
 class Sym2Tensor:
     """Symmetric 2-tensor on R^n, stored as an n x n matrix.
 
-    Inputs are symmetrized as (C + C^T)/2; asymmetry beyond
+    Inputs are symmetrized as C/2 + C^T/2; asymmetry beyond
     ``SYMMETRY_RTOL`` relative to the matrix norm is rejected outright, since
     everything downstream silently assumes exact symmetry.
     """
@@ -84,15 +94,27 @@ class Sym2Tensor:
 
     def __post_init__(self):
         m = _as_square(self.matrix, "symmetric 2-tensor")
-        scale = np.linalg.norm(m, np.inf)
-        asym = np.linalg.norm(m - m.T, np.inf)
+        scale = _inf_norm(m)
+        asym = _inf_norm(m - m.T)
         if scale > 0 and asym > SYMMETRY_RTOL * scale:
             raise DimensionMismatch(
                 f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * norm"
             )
-        sym = 0.5 * (m + m.T)
+        # Halving before adding keeps entries near the float maximum finite.
+        sym = 0.5 * m + 0.5 * m.T
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
+
+    @classmethod
+    def _exact(cls, matrix: np.ndarray) -> "Sym2Tensor":
+        """Wrap the entry-by-entry combination of validated symmetric
+        tensors, which is exactly symmetric; only finiteness can fail."""
+        if not np.isfinite(matrix).all():
+            raise ValueError("symmetric 2-tensor entries must be finite")
+        matrix.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", matrix)
+        return out
 
     @property
     def dim(self) -> int:
@@ -112,19 +134,19 @@ class Sym2Tensor:
 
     def __add__(self, other: "Sym2Tensor") -> "Sym2Tensor":
         _check_same_dim(self, other)
-        return Sym2Tensor(self.matrix + other.matrix)
+        return Sym2Tensor._exact(self.matrix + other.matrix)
 
     def __sub__(self, other: "Sym2Tensor") -> "Sym2Tensor":
         _check_same_dim(self, other)
-        return Sym2Tensor(self.matrix - other.matrix)
+        return Sym2Tensor._exact(self.matrix - other.matrix)
 
     def __mul__(self, scalar: float) -> "Sym2Tensor":
-        return Sym2Tensor(float(scalar) * self.matrix)
+        return Sym2Tensor._exact(float(scalar) * self.matrix)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Sym2Tensor":
-        return Sym2Tensor(-self.matrix)
+        return Sym2Tensor._exact(-self.matrix)
 
     def is_zero(self, atol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.matrix) <= atol))
@@ -165,7 +187,9 @@ class GlElement:
         return self.matrix.shape[0]
 
     @classmethod
+    @cache
     def identity(cls, dim: int) -> "GlElement":
+        """The identity of GL(R^dim); one shared read-only instance per dim."""
         return cls(np.eye(dim))
 
     @cached_property
@@ -231,11 +255,16 @@ def min_eigenvalue(C: Sym2Tensor) -> float:
 
 
 def is_positive_definite(C: Sym2Tensor, rtol: float = PD_RTOL) -> bool:
-    """True iff the smallest eigenvalue clears ``rtol`` times the norm."""
-    scale = np.linalg.norm(C.matrix, 2)
+    """True iff the smallest eigenvalue clears ``rtol`` times the norm.
+
+    The spectral norm of a symmetric tensor is its largest absolute
+    eigenvalue, so one ``eigvalsh`` gives both sides.
+    """
+    eig = np.linalg.eigvalsh(C.matrix)
+    scale = max(-eig[0], eig[-1])
     if scale == 0.0:
         return False
-    return min_eigenvalue(C) > rtol * scale
+    return bool(eig[0] > rtol * scale)
 
 
 def cholesky(C: Sym2Tensor) -> np.ndarray:

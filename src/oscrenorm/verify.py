@@ -73,9 +73,9 @@ def _random_osc(rng, n):
 
 def _element_gap(a: og.OscElement, b: og.OscElement) -> float:
     return max(
-        np.max(np.abs(a.m.matrix - b.m.matrix)),
-        np.max(np.abs(a.k - b.k)),
-        np.max(np.abs(a.v - b.v)),
+        np.abs(a.m.matrix - b.m.matrix).max(),
+        np.abs(a.k - b.k).max(),
+        np.abs(a.v - b.v).max(),
         abs(a.c - b.c),
     )
 
@@ -111,12 +111,9 @@ def group_suite(seed: int, trials: int = 200) -> list[CheckResult]:
             g, h = _random_osc(rng, n), _random_osc(rng, n)
             err = max(
                 err,
-                np.max(
-                    np.abs(
-                        og.to_matrix(og.osc_mul(g, h))
-                        - og.to_matrix(g) @ og.to_matrix(h)
-                    )
-                ),
+                np.abs(
+                    og.to_matrix(og.osc_mul(g, h)) - og.to_matrix(g) @ og.to_matrix(h)
+                ).max(),
             )
     results.append(CheckResult("matrix-representation", err <= 1e-12, err, 1e-12))
 
@@ -179,7 +176,7 @@ def group_suite(seed: int, trials: int = 200) -> list[CheckResult]:
             s = og.an_section(C)
             lhs = og.act_sec(M1, og.act_sec(M2, s))
             rhs = og.act_sec(M1 @ M2, s)
-            err = max(err, np.max(np.abs(lhs.a - rhs.a)))
+            err = max(err, np.abs(lhs.a - rhs.a).max())
     results.append(CheckResult("section-action-composition", err <= 1e-9, err, 1e-9))
 
     err = 0.0
@@ -192,8 +189,8 @@ def group_suite(seed: int, trials: int = 200) -> list[CheckResult]:
             err = max(
                 err,
                 max(
-                    np.max(np.abs(lhs.m.matrix - rhs.m.matrix)),
-                    np.max(np.abs(lhs.p.matrix - rhs.p.matrix)),
+                    np.abs(lhs.m.matrix - rhs.m.matrix).max(),
+                    np.abs(lhs.p.matrix - rhs.p.matrix).max(),
                 ),
             )
     results.append(CheckResult("scale-lift-homomorphism", err <= 1e-10, err, 1e-10))

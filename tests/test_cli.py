@@ -241,3 +241,23 @@ class TestBatchedFlow:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_verify_output_independent_of_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+                PYTHONPATH=src,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "oscrenorm.cli", "verify",
+                 "--suite", "all", "--seed", "0"],
+                env=env, check=True, timeout=300, capture_output=True,
+            )
+            outputs.append(proc.stdout)
+        assert b"23/23 checks passed" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -124,6 +124,31 @@ class TestMatrixRepresentation:
         assert lhs.isclose(rhs, atol=1e-14)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_scalar(self, c):
+        with pytest.raises(ValueError, match="must be finite"):
+            OscElement(GlElement.identity(1), [0.0], [0.0], c)
+
+    @pytest.mark.parametrize("k", [[np.nan, 0.0], [0.0, np.inf]])
+    def test_an_apply_rejects_nonfinite_source(self, k):
+        with pytest.raises(ValueError, match="must be finite"):
+            an_apply(Sym2Tensor.identity(2), k)
+
+    @pytest.mark.parametrize("k", [[1.0], [1.0, 2.0, 3.0]])
+    def test_an_apply_rejects_wrong_length(self, k):
+        with pytest.raises(DimensionMismatch):
+            an_apply(Sym2Tensor.identity(2), k)
+
+    def test_an_apply_values(self, rng):
+        C = random_sym(rng, 3)
+        k = rng.normal(size=3)
+        g = an_apply(C, k)
+        np.testing.assert_array_equal(g.v, C.matrix @ k)
+        assert g.c == 0.5 * float(k @ C.matrix @ k)
+        assert g.m is GlElement.identity(3)
+
+
 class TestAnnihilationSections:
     def test_scalar_example(self):
         g = an_apply(Sym2Tensor([[2.0]]), [3.0])

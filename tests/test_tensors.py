@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,30 @@ class TestIsPositiveDefinite:
         # eigenvalues 5 and -1
         assert not is_positive_definite(Sym2Tensor([[2.0, 3.0], [3.0, 2.0]]))
 
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ([1.0, 1e-13], False),
+            ([1.0, 1e-11], True),
+            ([-5.0, -1.0], False),
+            ([1e6, 1e-7], False),
+            ([1e-6, 1e-17], True),
+        ],
+    )
+    def test_relative_floor(self, entries, expected):
+        # lambda_min must clear PD_RTOL = 1e-12 times the spectral norm.
+        assert is_positive_definite(Sym2Tensor.diagonal(entries)) == expected
+
+    def test_matches_spectral_norm_criterion(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            a = rng.normal(size=(n, n))
+            C = Sym2Tensor(a @ a.T - rng.uniform(0.0, 2.0) * np.eye(n))
+            expected = np.linalg.eigvalsh(C.matrix)[0] > 1e-12 * np.linalg.norm(
+                C.matrix, 2
+            )
+            assert is_positive_definite(C) == expected
+
 
 class TestCholesky:
     def test_scalar(self):
@@ -171,6 +197,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Sym2Tensor([[np.nan]])
 
+    def test_near_max_entry_stays_finite(self):
+        m = np.array([[1.7e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = Sym2Tensor(m)
+        np.testing.assert_array_equal(C.matrix, m)
+
     def test_gl_rejects_singular(self):
         with pytest.raises(SingularTensor):
             GlElement([[1.0, 2.0], [2.0, 4.0]])
@@ -185,3 +218,87 @@ class TestConstruction:
         np.testing.assert_array_equal(
             Sym2Tensor.from_json(C.to_json()).matrix, C.matrix
         )
+
+
+class TestCachedIdentity:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_instance_per_dimension(self, n):
+        assert GlElement.identity(n) is GlElement.identity(n)
+        assert GlElement.identity(n).dim == n
+
+    def test_read_only(self):
+        eye = GlElement.identity(2)
+        with pytest.raises(ValueError):
+            eye.matrix[0, 0] = 7.0
+        np.testing.assert_array_equal(GlElement.identity(2).matrix, np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_inverse_and_det(self, n):
+        eye = GlElement.identity(n)
+        np.testing.assert_array_equal(eye.inverse.matrix, np.eye(n))
+        assert eye.det == 1.0
+
+
+class TestExactArithmetic:
+    """``+``, ``-``, unary ``-`` and ``*`` on validated symmetric tensors
+    skip the asymmetry check; their results must still be valid tensors."""
+
+    @staticmethod
+    def results(A, B):
+        return {"add": A + B, "sub": A - B, "neg": -A, "mul": A * 1.7, "rmul": 0.3 * B}
+
+    def test_read_only_and_exactly_symmetric(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            A, B = random_spd(rng, n), random_spd(rng, n)
+            for name, out in self.results(A, B).items():
+                assert isinstance(out, Sym2Tensor), name
+                np.testing.assert_array_equal(out.matrix, out.matrix.T, err_msg=name)
+                with pytest.raises(ValueError):
+                    out.matrix[0, 0] = 1.0
+
+    def test_matches_full_construction(self, rng):
+        A, B = random_spd(rng, 3), random_spd(rng, 3)
+        for name, out in self.results(A, B).items():
+            np.testing.assert_array_equal(
+                out.matrix, Sym2Tensor(out.matrix.copy()).matrix, err_msg=name
+            )
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: Sym2Tensor([[1e308]]) * 10.0,
+            lambda: 10.0 * Sym2Tensor([[1e308]]),
+            lambda: Sym2Tensor([[1e308]]) * float("nan"),
+            lambda: Sym2Tensor([[1e308]]) + Sym2Tensor([[1e308]]),
+            lambda: Sym2Tensor([[1e308]]) - Sym2Tensor([[-1e308]]),
+        ],
+    )
+    def test_overflow_raises(self, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="entries must be finite"):
+                op()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Sym2Tensor.identity(2) + Sym2Tensor.identity(3)
+
+    def test_act_sym_symmetrizes(self, rng):
+        # General input keeps the full check and symmetrization.
+        for _ in range(50):
+            C = act_sym(random_gl(rng, 3), random_spd(rng, 3))
+            np.testing.assert_array_equal(C.matrix, C.matrix.T)
+
+
+class TestGlProductCheck:
+    def test_ill_conditioned_product_rejected(self):
+        # Each factor has condition 1e8, within the 1e12 bound; the square 1e16.
+        M = GlElement(np.diag([1e4, 1e-4]))
+        with pytest.raises(SingularTensor):
+            M @ M
+
+    def test_ill_conditioned_inverse_chain(self):
+        M = GlElement(np.diag([1e4, 1e-4]))
+        with pytest.raises(SingularTensor):
+            M.inverse @ M.inverse
