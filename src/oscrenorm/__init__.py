@@ -33,7 +33,6 @@ from .gaussian import (
     act_fun_gaussian,
     check_gauss_char,
     gaussian_convolve,
-    gaussian_eval,
 )
 from .oscgroup import (
     OscElement,
@@ -53,10 +52,7 @@ from .renorm import (
     DilationFamily,
     PropagatorFamily,
     RenormStep,
-    Theory,
-    cgrl_apply,
     cgrl_compose,
-    coarse_grain,
     heat_kernel_base,
     propagator_at,
     renorm_step,

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class RunConfig:
     quadrature_order: int | None = None
     projection_degree: int = 4
     semigroup_check_c: float | None = None
-    raw: dict = field(default=None, repr=False)
 
 
 def _require(cond: bool, message: str):
@@ -75,7 +74,19 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    # Any malformed value, missing key or library rejection while parsing
+    # is a config error.
+    try:
+        return _parse_config(raw, order_override)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except (ValueError, TypeError, OverflowError, OscRenormError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
+
+def _parse_config(raw, order_override: int | None) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require(
         raw.get("schema_version") == SCHEMA_VERSION,
@@ -87,26 +98,23 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
     prop_spec = raw.get("propagator")
     _require(isinstance(prop_spec, dict), "propagator spec is required")
     fiducial = float(raw.get("fiducial_scale", 1.0))
-    _require(fiducial > 0.0, "fiducial_scale must be positive")
-    try:
-        if "base" in prop_spec:
-            base = Sym2Tensor.from_json(prop_spec["base"])
-        elif "heat_kernel" in prop_spec:
-            hk = prop_spec["heat_kernel"]
-            base = heat_kernel_base(
-                hk["spatial_dim"], hk["sites"], fiducial, hk.get("mass", 0.0)
-            )
-        else:
-            raise ConfigError("propagator needs either 'base' or 'heat_kernel'")
-    except OscRenormError as exc:
-        raise ConfigError(f"invalid propagator: {exc}") from exc
+    _require(0.0 < fiducial < math.inf, "fiducial_scale must be positive and finite")
+    if "base" in prop_spec:
+        base = Sym2Tensor(prop_spec["base"])
+    elif "heat_kernel" in prop_spec:
+        hk = prop_spec["heat_kernel"]
+        base = heat_kernel_base(
+            hk["spatial_dim"], hk["sites"], fiducial, hk.get("mass", 0.0)
+        )
+    else:
+        raise ConfigError("propagator needs either 'base' or 'heat_kernel'")
     _require(base.dim == dim, "propagator dimension does not match 'dimension'")
     _require(
         is_positive_definite(base), "propagator base must be positive definite"
     )
 
     if "dilation_generator" in raw:
-        dilation = DilationFamily(np.asarray(raw["dilation_generator"], dtype=float))
+        dilation = DilationFamily(raw["dilation_generator"])
         _require(dilation.dim == dim, "dilation generator has wrong dimension")
     else:
         dilation = DilationFamily.default(dim)
@@ -117,10 +125,7 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
         isinstance(inter_spec, dict) and "terms" in inter_spec,
         "interaction must carry a 'terms' table",
     )
-    try:
-        interaction = FieldFunction.polynomial_from_json(inter_spec, dim)
-    except OscRenormError as exc:
-        raise ConfigError(f"invalid interaction: {exc}") from exc
+    interaction = FieldFunction.polynomial_from_json(inter_spec, dim)
     _require(
         interaction.integrable,
         "interaction is not integrable: it needs even maximal degree with a "
@@ -134,6 +139,7 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
     )
     ladder = tuple(float(c) for c in ladder)
     _require(all(c >= 1.0 for c in ladder), "scale_ladder values must be >= 1")
+    _require(all(c < math.inf for c in ladder), "scale_ladder values must be finite")
     _require(list(ladder) == sorted(ladder), "scale_ladder must be sorted")
 
     pts_spec = raw.get("sample_points")
@@ -144,10 +150,12 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
         _require(isinstance(pts_spec, list), "sample_points must be a list or grid")
         points = pts_spec
     points = tuple(tuple(float(v) for v in p) for p in points)
+    _require(len(points) >= 1, "sample_points must hold at least one point")
     _require(
         all(len(p) == dim for p in points),
         "every sample point must match the configured dimension",
     )
+    _require(np.isfinite(points).all(), "sample points must be finite")
 
     order = raw.get("quadrature_order")
     if order_override is not None:
@@ -162,7 +170,9 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
     check_c = raw.get("semigroup_check_c")
     if check_c is not None:
         check_c = float(check_c)
-        _require(check_c > 1.0, "semigroup_check_c must exceed 1")
+        _require(
+            1.0 < check_c < math.inf, "semigroup_check_c must be finite and exceed 1"
+        )
 
     return RunConfig(
         dimension=dim,
@@ -173,7 +183,6 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
         quadrature_order=order,
         projection_degree=degree,
         semigroup_check_c=check_c,
-        raw=raw,
     )
 
 

@@ -21,6 +21,7 @@ so that integrals are preserved under the change of variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,11 @@ class FieldFunction:
             e = tuple(int(v) for v in exponents)
             if len(e) != dim or any(v < 0 for v in e):
                 raise DimensionMismatch(f"bad exponent tuple {e} for dimension {dim}")
-            if coeff != 0.0:
-                clean.append((e, float(coeff)))
+            c = float(coeff)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {e} must be finite, got {c}")
+            if c != 0.0:
+                clean.append((e, c))
         clean = tuple(sorted(clean))
         exponents = np.array([e for e, _ in clean], dtype=int).reshape(len(clean), dim)
         coeffs = np.array([c for _, c in clean])
@@ -159,15 +163,6 @@ class FieldFunction:
             terms=poly.terms,
             integrable=True,
         )
-
-    def terms_to_json(self) -> dict:
-        if self.terms is None:
-            raise ValueError("only polynomials carry a coefficient table")
-        return {
-            "terms": [
-                {"exponents": list(e), "coeff": c} for e, c in self.terms
-            ]
-        }
 
     @classmethod
     def polynomial_from_json(cls, data: dict, dim: int) -> "FieldFunction":

@@ -77,13 +77,6 @@ class GaussianMeasure:
     def eval(self, x) -> float:
         return math.exp(self.log_eval(x))
 
-    def to_json(self) -> dict:
-        return {"covariance": self.covariance.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GaussianMeasure":
-        return cls(Sym2Tensor.from_json(data["covariance"]))
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -119,10 +112,6 @@ class QuadratureRule:
         nodes.setflags(write=False)
         weights.setflags(write=False)
         return cls(nodes=nodes, weights=weights, covariance=C, order=q)
-
-
-def gaussian_eval(g: GaussianMeasure, x) -> float:
-    return g.eval(x)
 
 
 def gaussian_convolve(g1: GaussianMeasure, g2: GaussianMeasure) -> GaussianMeasure:

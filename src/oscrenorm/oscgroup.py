@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensors import GlElement, Sym2Tensor, _inf_norm, act_sym, as_vector
+from .tensors import GlElement, Sym2Tensor, _as_square, _inf_norm, act_sym, as_vector
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,6 @@ class OscElement:
             and np.allclose(self.k, other.k, atol=atol, rtol=0.0)
             and np.allclose(self.v, other.v, atol=atol, rtol=0.0)
             and abs(self.c - other.c) <= atol
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m.matrix.tolist(),
-            "k": self.k.tolist(),
-            "v": self.v.tolist(),
-            "c": self.c,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OscElement":
-        return cls(
-            GlElement(np.asarray(data["m"], dtype=float)),
-            np.asarray(data["k"], dtype=float),
-            np.asarray(data["v"], dtype=float),
-            float(data["c"]),
         )
 
 
@@ -130,9 +113,7 @@ class Section:
     b: Sym2Tensor
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"linear part must be square, got {a.shape}")
+        a = _as_square(self.a, "section linear part")
         if a.shape[0] != self.b.dim:
             raise DimensionMismatch("linear and quadratic parts differ in dimension")
         scale = max(_inf_norm(a), 1.0)
@@ -201,14 +182,10 @@ def act_sec(M: GlElement, s: Section) -> Section:
 
 @dataclass(frozen=True)
 class UrElement:
-    """Element (m, p) of the semidirect product GL(V) x| Sym2(V).
-
-    Values produced by ``ur`` record the generating tensor for audit.
-    """
+    """Element (m, p) of the semidirect product GL(V) x| Sym2(V)."""
 
     m: GlElement
     p: Sym2Tensor
-    generator: Sym2Tensor | None = None
 
     def __post_init__(self):
         if self.m.dim != self.p.dim:
@@ -223,7 +200,7 @@ def ur(C: Sym2Tensor, M: GlElement) -> UrElement:
     """The homomorphic lift M -> (M, C - M C M^T)."""
     if C.dim != M.dim:
         raise DimensionMismatch(f"dimension mismatch: {C.dim} vs {M.dim}")
-    return UrElement(M, C - act_sym(M, C), generator=C)
+    return UrElement(M, C - act_sym(M, C))
 
 
 def sd_mul(g1: UrElement, g2: UrElement) -> UrElement:

@@ -39,7 +39,6 @@ from .errors import (
 from .functions import (
     FieldFunction,
     QuadratureRule,
-    act_fun,
     compose,
     gauss_convolve_exp,
     log_fn,
@@ -49,6 +48,8 @@ from .oscgroup import UrElement, ur
 from .tensors import (
     GlElement,
     Sym2Tensor,
+    _as_square,
+    _inf_norm,
     act_sym,
     as_block,
     as_vector,
@@ -70,12 +71,7 @@ class DilationFamily:
     generator: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.generator, dtype=float)
-        if a.ndim == 0:
-            a = a.reshape(1, 1)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"generator must be square, got shape {a.shape}")
-        a = a.copy()
+        a = _as_square(self.generator, "dilation generator").copy()
         a.setflags(write=False)
         object.__setattr__(self, "generator", a)
 
@@ -135,26 +131,6 @@ def propagator_at(fam: PropagatorFamily, L: float) -> Sym2Tensor:
     if L <= 0.0:
         raise NonPositiveScale(f"scale must be positive, got {L}")
     return act_sym(fam.dilation.transform(L / fam.fiducial_scale), fam.base)
-
-
-@dataclass(frozen=True)
-class Theory:
-    """A propagator together with an interaction."""
-
-    propagator: Sym2Tensor
-    interaction: FieldFunction
-
-    def __post_init__(self):
-        if self.propagator.dim != self.interaction.dim:
-            raise ValueError("propagator and interaction dimensions differ")
-        if not (
-            self.propagator.is_zero() or is_positive_definite(self.propagator)
-        ):
-            raise NotPositiveDefinite(
-                "propagator must be positive definite or exactly zero"
-            )
-        if not self.interaction.integrable:
-            raise ValueError("interaction must be integrable")
 
 
 @dataclass(frozen=True)
@@ -241,9 +217,7 @@ def wtilde(
     """
     if P.is_zero():
         return I
-    convolved = gauss_convolve_exp(P, I, rule=rule, order=order)
-    logged = log_fn(convolved)
-    return FieldFunction(logged.evaluator, logged.dim, integrable=True)
+    return log_fn(gauss_convolve_exp(P, I, rule=rule, order=order))
 
 
 def w_full(
@@ -260,25 +234,6 @@ def w_full(
     )
 
 
-def coarse_grain(
-    P1: Sym2Tensor,
-    P2: Sym2Tensor,
-    I: FieldFunction,
-    order: int | None = None,
-) -> FieldFunction:
-    """Integrate out the P2 fluctuations: the effective interaction
-    wtilde(P2, I), which satisfies wtilde(P1, .) o coarse_grain =
-    wtilde(P1 + P2, .)."""
-    if P1.dim != P2.dim:
-        raise ValueError(f"dimension mismatch: {P1.dim} vs {P2.dim}")
-    for P in (P1, P2):
-        if not (P.is_zero() or is_positive_definite(P)):
-            raise NotPositiveDefinite(
-                "coarse graining requires PSD (or zero) covariances"
-            )
-    return wtilde(P2, I, order=order)
-
-
 def rescale(
     M: GlElement, P: Sym2Tensor, I: FieldFunction
 ) -> tuple[Sym2Tensor, FieldFunction]:
@@ -291,64 +246,41 @@ def rescale(
     return act_sym(M.inverse, P), compose(I, M)
 
 
-def renorm_step(
-    fam: PropagatorFamily,
-    c: float,
-    I: FieldFunction,
-    order: int | None = None,
-) -> FieldFunction:
-    """One renormalization step: I -> wtilde(P_L0 - P_cL0, I) o T_c.
-
-    At c = 1 the step tensor vanishes and the input is returned unchanged.
-    """
-    step = RenormStep.for_family(fam, c)
-    if step.step_tensor.is_zero(atol=PSD_SLACK * max(1.0, _norm(fam.base))):
-        return I
-    effective = wtilde(step.step_tensor, I, order=order)
-    return compose(effective, step.transform)
-
-
-def cgrl_apply(
-    M: GlElement,
-    P: Sym2Tensor,
-    I: FieldFunction,
-    order: int | None = None,
-) -> FieldFunction:
-    """Combined coarse-grain-and-rescale action: act_fun(M, wtilde(P, I)).
-
-    Note the det(M) prefactor carried by act_fun; ``renorm_step`` uses the
-    prefactor-free composition so that the step at c = 1 is the identity on
-    functions, not a rescaling by det(T_1) (which is 1 anyway) and so that
-    flowed interactions stay comparable across c.
-    """
-    return act_fun(M, wtilde(P, I, order=order))
-
-
 def cgrl_compose(
     M: GlElement,
     P: Sym2Tensor,
     I: FieldFunction,
     order: int | None = None,
 ) -> FieldFunction:
-    """Prefactor-free coarse-grain-and-rescale: I -> wtilde(P, I) o M.
+    """Coarse-grain-and-rescale: I -> wtilde(P, I) o M.
 
-    This is the variant that genuinely carries the semidirect-product
-    structure as a right action,
+    This is the right action of the semidirect product,
 
         cgrl_compose(m1 m2, p1 + m1 p2 m1^T)
             = cgrl_compose(m2, p2) after cgrl_compose(m1, p1),
 
-    and it is what a renormalization step applies; the det(M) prefactor of
-    ``cgrl_apply`` would rescale exp of the interaction nonlinearly and
-    break the law whenever det(M) != 1.
+    with no det(M) prefactor: that would rescale exp of the interaction
+    nonlinearly and break the law whenever det(M) != 1.
     """
-    if P.is_zero():
-        return compose(I, M)
     return compose(wtilde(P, I, order=order), M)
 
 
-def _norm(t: Sym2Tensor) -> float:
-    return float(np.linalg.norm(t.matrix, np.inf))
+def renorm_step(
+    fam: PropagatorFamily,
+    c: float,
+    I: FieldFunction,
+    order: int | None = None,
+) -> FieldFunction:
+    """One renormalization step: I -> wtilde(P_L0 - P_cL0, I) o T_c, i.e.
+    ``cgrl_compose`` of the lift of T_c.
+
+    At c = 1 the step tensor vanishes and the input is returned unchanged.
+    """
+    step = RenormStep.for_family(fam, c)
+    scale = max(1.0, _inf_norm(fam.base.matrix))
+    if step.step_tensor.is_zero(atol=PSD_SLACK * scale):
+        return I
+    return cgrl_compose(step.transform, step.step_tensor, I, order=order)
 
 
 def project_polynomial(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -154,6 +155,34 @@ class TestFlowCommand:
         out = tmp_path / "flow.json"
         assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"fiducial_scale": "x"},
+            {"fiducial_scale": math.inf},
+            {"propagator": {"heat_kernel": {"spatial_dim": 3}}},
+            {"propagator": {"base": [[math.nan]]}},
+            {"dilation_generator": [[math.nan]]},
+            {"interaction": {"terms": [{"exponents": [4]}]}},
+            {"quadrature_order": "abc"},
+            {"quadrature_order": math.inf},
+            {"scale_ladder": ["a"]},
+            {"scale_ladder": [1, math.inf]},
+            {"sample_points": [["a"]]},
+            {"sample_points": [[math.nan]]},
+            {"sample_points": []},
+            {"sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": "q"}}},
+            {"semigroup_check_c": math.inf},
+        ],
+        ids=repr,
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
 
 class TestWtildeCommand:

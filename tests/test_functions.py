@@ -56,9 +56,20 @@ class TestFieldFunction:
         assert f.integrable
 
     def test_terms_json_round_trip(self):
-        p = quartic_1d(2.0, 3.0)
-        back = FieldFunction.polynomial_from_json(p.terms_to_json(), dim=1)
-        assert back.terms == p.terms
+        data = {
+            "terms": [
+                {"exponents": [4], "coeff": -2.0},
+                {"exponents": [2], "coeff": -3.0},
+            ]
+        }
+        back = FieldFunction.polynomial_from_json(data, dim=1)
+        assert back.terms == quartic_1d(2.0, 3.0).terms
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coefficient(self, bad):
+        # A non-finite lower-order term leaves the leading form negative.
+        with pytest.raises(ValueError, match="must be finite"):
+            FieldFunction.polynomial([((4,), -1.0), ((2,), bad)], dim=1)
 
 
 class TestIntegrabilityFlag:

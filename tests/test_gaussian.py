@@ -13,7 +13,6 @@ from oscrenorm import (
     act_fun_gaussian,
     check_gauss_char,
     gaussian_convolve,
-    gaussian_eval,
 )
 from oscrenorm.gaussian import normalization_by_quadrature, shifted_log_eval
 from conftest import random_gl_pos, random_spd
@@ -53,10 +52,6 @@ class TestEvaluation:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianMeasure(Sym2Tensor([[2.0, 3.0], [3.0, 2.0]]))
-
-    def test_module_level_eval(self):
-        g = GaussianMeasure(Sym2Tensor.identity(2))
-        assert gaussian_eval(g, [0.3, 0.4]) == pytest.approx(g.eval([0.3, 0.4]))
 
 
 class TestConvolution:
@@ -156,9 +151,3 @@ class TestCharacterization:
             g = GaussianMeasure(random_spd(rng, n))
             assert normalization_by_quadrature(g) == pytest.approx(1.0, abs=1e-9)
 
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        g = GaussianMeasure(random_spd(rng, 2))
-        back = GaussianMeasure.from_json(g.to_json())
-        np.testing.assert_array_equal(back.covariance.matrix, g.covariance.matrix)

@@ -205,6 +205,11 @@ class TestSectionArithmetic:
         with pytest.raises(DimensionMismatch):
             Section(np.array([[0.0, 1.0], [-1.0, 0.0]]), Sym2Tensor.zero(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_linear_part(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Section([[bad, 0.0], [0.0, 1.0]], Sym2Tensor.identity(2))
+
 
 class TestSectionAction:
     def test_identity_transform(self, rng):
@@ -267,18 +272,3 @@ class TestUr:
             rhs = ur(C, M1 @ M2)
             np.testing.assert_allclose(lhs.m.matrix, rhs.m.matrix, atol=1e-10)
             np.testing.assert_allclose(lhs.p.matrix, rhs.p.matrix, atol=1e-9)
-
-    def test_generator_recorded(self, rng):
-        C = random_sym(rng, 2)
-        assert ur(C, random_gl(rng, 2)).generator is C
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        g = random_osc(rng, 3)
-        back = OscElement.from_json(g.to_json())
-        assert back.isclose(g, atol=0.0)
-
-    def test_json_shape(self):
-        data = elem1(2, 3, 1, 5).to_json()
-        assert data == {"m": [[2.0]], "k": [3.0], "v": [1.0], "c": 5.0}

@@ -14,10 +14,7 @@ from oscrenorm import (
     PropagatorFamily,
     RenormStep,
     Sym2Tensor,
-    Theory,
-    cgrl_apply,
     cgrl_compose,
-    coarse_grain,
     heat_kernel_base,
     propagator_at,
     renorm_step,
@@ -68,6 +65,11 @@ class TestDilationFamily:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(NonPositiveScale):
             DilationFamily.default(1).transform(0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_generator(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DilationFamily([[bad]])
 
 
 class TestPropagatorFamily:
@@ -181,21 +183,16 @@ class TestCoarseGrain:
         # wtilde(P1, wtilde(P2, I)) == wtilde(P1 + P2, I) pointwise
         P1, P2 = Sym2Tensor([[0.4]]), Sym2Tensor([[0.3]])
         I = FieldFunction.polynomial([((4,), -0.2)], dim=1)
-        staged = wtilde(P1, coarse_grain(P1, P2, I))
+        staged = wtilde(P1, wtilde(P2, I))
         direct = wtilde(P1 + P2, I)
         for x in (-1.0, 0.0, 0.7):
             assert staged([x]) == pytest.approx(direct([x]), abs=1e-6)
-
-    def test_zero_second_factor(self):
-        I = quadratic_interaction(0.5)
-        out = coarse_grain(Sym2Tensor([[1.0]]), Sym2Tensor.zero(1), I)
-        assert out is I
 
     def test_rejects_indefinite(self):
         I = quadratic_interaction(0.5, dim=2)
         bad = Sym2Tensor([[2.0, 3.0], [3.0, 2.0]])
         with pytest.raises(NotPositiveDefinite):
-            coarse_grain(bad, Sym2Tensor.identity(2), I)
+            wtilde(bad, I)
 
 
 class TestRescale:
@@ -252,19 +249,10 @@ class TestRenormStepFlow:
         via_action = cgrl_compose(lifted.m, lifted.p, I)
         stepped = renorm_step(fam, c, I)
         for x in (-1.0, 0.2):
-            assert stepped([x]) == pytest.approx(via_action([x]), rel=1e-10)
+            assert stepped([x]) == via_action([x])
 
 
 class TestCgrl:
-    def test_apply_carries_determinant(self):
-        M = GlElement([[2.0]])
-        P = Sym2Tensor([[0.5]])
-        I = quadratic_interaction(0.3)
-        base = wtilde(P, I)
-        out = cgrl_apply(M, P, I)
-        for x in (0.0, 0.4):
-            assert out([x]) == pytest.approx(2.0 * base([2.0 * x]), rel=1e-10)
-
     def test_compose_right_action_law(self):
         # cgrl(g1 * g2) == cgrl(g2) after cgrl(g1) for the semidirect lift
         C = Sym2Tensor([[1.0]])
@@ -282,17 +270,6 @@ class TestCgrl:
         I = quadratic_interaction(0.4)
         out = cgrl_compose(GlElement([[0.5]]), Sym2Tensor.zero(1), I)
         assert out([1.0]) == pytest.approx(I([0.5]))
-
-
-class TestTheory:
-    def test_valid_construction(self):
-        Theory(Sym2Tensor([[1.0]]), quadratic_interaction(0.3))
-        Theory(Sym2Tensor.zero(1), quadratic_interaction(0.3))
-
-    def test_rejects_nonintegrable_interaction(self):
-        bad = FieldFunction.polynomial([((3,), 1.0)], dim=1)
-        with pytest.raises(ValueError):
-            Theory(Sym2Tensor([[1.0]]), bad)
 
 
 class TestProjectPolynomial:

@@ -215,9 +215,18 @@ class TestConstruction:
 
     def test_json_round_trip(self, rng):
         C = random_spd(rng, 3)
-        np.testing.assert_array_equal(
-            Sym2Tensor.from_json(C.to_json()).matrix, C.matrix
-        )
+        np.testing.assert_array_equal(Sym2Tensor(C.matrix.tolist()).matrix, C.matrix)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1.7e308, 1.7e308], [-1.7e308, 1.7e308]],
+            [[1.7e308, 1.7e308], [1.6e308, 1.7e308]],
+        ],
+    )
+    def test_rejects_asymmetry_when_norm_overflows(self, m):
+        with pytest.raises(DimensionMismatch):
+            Sym2Tensor(m)
 
 
 class TestCachedIdentity:
