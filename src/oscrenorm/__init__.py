@@ -17,6 +17,7 @@ from .errors import (
     OscRenormError,
     QuadratureOverflow,
     SingularTensor,
+    UnsupportedOrder,
 )
 from .functions import (
     FieldFunction,

@@ -38,6 +38,12 @@ from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 
+#: Highest Gauss-Hermite order with finite positive weights in numpy.
+MAX_ORDER = 370
+
+#: Cap on the tensor-product node count, order ** dimension.
+MAX_NODES = 2**20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -162,7 +168,14 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         order = order_override
     if order is not None:
         order = int(order)
-        _require(order >= 2, "quadrature_order must be >= 2")
+        _require(
+            2 <= order <= MAX_ORDER, f"quadrature_order must be in 2..{MAX_ORDER}"
+        )
+        _require(
+            order**dim <= MAX_NODES,
+            f"quadrature_order {order} in dimension {dim} needs {order**dim} "
+            f"nodes, more than {MAX_NODES}",
+        )
 
     degree = int(raw.get("projection_degree", 4))
     _require(1 <= degree <= 8, "projection_degree must be in 1..8")

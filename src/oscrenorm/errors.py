@@ -29,6 +29,10 @@ class QuadratureOverflow(OscRenormError):
     """Integrand exceeded the representable range at a quadrature node."""
 
 
+class UnsupportedOrder(OscRenormError):
+    """Gauss-Hermite weights at this order are not all finite and positive."""
+
+
 class NonPositiveValue(OscRenormError):
     """Logarithm requested of a non-positive function value."""
 

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import DimensionMismatch, NonPositiveDeterminant, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    NonPositiveDeterminant,
+    NotPositiveDefinite,
+    UnsupportedOrder,
+)
 from .tensors import (
     GlElement,
     Sym2Tensor,
@@ -103,6 +108,11 @@ class QuadratureRule:
         n = C.dim
         q = int(order) if order is not None else default_order(n)
         t, w = np.polynomial.hermite.hermgauss(q)
+        # numpy's weights underflow to 0 at q = 371 and are NaN beyond.
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise UnsupportedOrder(
+                f"Gauss-Hermite weights at order {q} are not all finite and positive"
+            )
         w = w / math.sqrt(math.pi)
         L = cholesky(C)
         # Lexicographic tensor product fixes the reduction order.

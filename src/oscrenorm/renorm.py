@@ -22,11 +22,11 @@ step(c') o step(c) = step(c c').
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .errors import (
@@ -166,6 +166,9 @@ def heat_kernel_base(
     adaptive quadrature and symmetrized.  For d <= 2 the massless integral
     diverges at the upper limit, so a positive mass is required there.
     """
+    # Local import: scipy.integrate is slow to import and only heat kernels need it.
+    from scipy.integrate import quad
+
     d = int(spatial_dim)
     m = float(mass)
     L0 = float(fiducial_scale)
@@ -293,8 +296,6 @@ def project_polynomial(
     f's values at ``points``, so that f is not evaluated again.  Intended
     for reporting flow tables, not for feeding back into the flow itself.
     """
-    import itertools
-
     degree = min(int(degree), 8)
     pts = as_block(points, f.dim)
     exponents = [

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import oscrenorm
-from oscrenorm import cli
-from oscrenorm.cli import load_config, main
+from oscrenorm import QuadratureRule, cli
+from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
 
 
@@ -31,6 +31,19 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def config_4d():
+    return {
+        "dimension": 4,
+        "propagator": {"base": [[1.0 if i == j else 0.0 for j in range(4)]
+                                for i in range(4)]},
+        "interaction": {"terms": [
+            {"exponents": [4 if i == j else 0 for j in range(4)], "coeff": -0.1}
+            for i in range(4)
+        ]},
+        "sample_points": [[0.1, 0.2, 0.3, 0.4]],
+    }
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -86,6 +99,15 @@ class TestLoadConfig:
     def test_order_override_wins(self, tmp_path):
         config = load_config(write_config(tmp_path), order_override=30)
         assert config.quadrature_order == 30
+
+    def test_highest_orders_accepted(self, tmp_path):
+        assert load_config(
+            write_config(tmp_path), order_override=MAX_ORDER
+        ).quadrature_order == MAX_ORDER
+        # 32 ** 4 is exactly the node cap.
+        assert load_config(
+            write_config(tmp_path, **config_4d()), order_override=32
+        ).quadrature_order == 32
 
 
 class TestVerifyCommand:
@@ -184,6 +206,27 @@ class TestFlowCommand:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_order_above_max_is_config_error(self, tmp_path, capsys):
+        # numpy's Gauss-Hermite weights are 0 or NaN above order 370.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "flow.json"
+        argv = ["flow", "--config", cfg, "--out", str(out)]
+        assert main(argv + ["--quadrature-order", "400"]) == 2
+        assert "quadrature_order must be in 2..370" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_node_count_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            QuadratureRule, "for_covariance", lambda *a, **k: built.append(a)
+        )
+        cfg = write_config(tmp_path, quadrature_order=100, **config_4d())
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        assert "needs 100000000 nodes" in capsys.readouterr().err
+        assert built == []
+        assert not out.exists()
+
 
 class TestWtildeCommand:
     def test_csv_to_stdout(self, tmp_path, capsys):
@@ -199,6 +242,30 @@ class TestWtildeCommand:
         assert main(["wtilde", "--config", cfg, "--out", str(out)]) == 0
         body = out.read_text()
         assert body.startswith("x0,wtilde,w\n")
+
+    def test_heat_kernel_propagator(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            dimension=2,
+            propagator={"heat_kernel": {
+                "spatial_dim": 3, "sites": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            }},
+            interaction={"terms": [
+                {"exponents": [4, 0], "coeff": -0.1},
+                {"exponents": [0, 4], "coeff": -0.1},
+                {"exponents": [1, 1], "coeff": 0.05},
+            ]},
+            sample_points=[[0.0, 0.0], [0.5, -0.3]],
+            quadrature_order=8,
+        )
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["wtilde", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"x0,x1,wtilde,w\n")
+        assert len(outputs[0].splitlines()) == 3
 
     def test_quadratic_value(self, tmp_path, capsys):
         import math

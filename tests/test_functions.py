@@ -15,6 +15,7 @@ from oscrenorm import (
     QuadratureOverflow,
     QuadratureRule,
     Sym2Tensor,
+    UnsupportedOrder,
     act_fun,
     compose,
     convolve_numeric,
@@ -130,6 +131,17 @@ class TestQuadratureRule:
     def test_unsupported_dimension(self):
         with pytest.raises(DimensionMismatch):
             QuadratureRule.for_covariance(Sym2Tensor.identity(5))
+
+    def test_highest_supported_order(self):
+        rule = QuadratureRule.for_covariance(Sym2Tensor.identity(1), order=370)
+        assert np.all(rule.weights > 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("order", [371, 372, 400])
+    def test_order_without_positive_weights(self, order):
+        # numpy's weights are 0 at q = 371 and NaN from q = 372.
+        with pytest.raises(UnsupportedOrder):
+            QuadratureRule.for_covariance(Sym2Tensor.identity(1), order=order)
 
 
 class TestSigmaAction:

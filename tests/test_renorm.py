@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscrenorm
 from oscrenorm import (
     DilationFamily,
     DivergentIntegral,
@@ -150,6 +155,27 @@ class TestHeatKernel:
         C1 = heat_kernel_base(3, sites, 1.0)
         C2 = heat_kernel_base(3, shifted, 1.0)
         np.testing.assert_allclose(C1.matrix, C2.matrix, rtol=1e-10)
+
+    def test_scipy_integrate_loaded_only_for_heat_kernel(self):
+        # A fresh process: importing the CLI must not load scipy.integrate,
+        # and heat_kernel_base must still load it and give the same matrix.
+        code = (
+            "import json, sys\n"
+            "import oscrenorm, oscrenorm.cli\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "from oscrenorm import heat_kernel_base\n"
+            "C = heat_kernel_base(3, [[0, 0, 0], [1, 0, 0]], 1.0)\n"
+            "print(json.dumps(C.matrix.tolist()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = heat_kernel_base(3, [[0, 0, 0], [1, 0, 0]], 1.0).matrix
+        assert json.loads(proc.stdout) == expected.tolist()
 
 
 class TestWtilde:
