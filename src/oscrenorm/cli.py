@@ -64,12 +64,22 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _int(value, key: str) -> int:
+    """``int(value)``, except that JSON ``true`` and ``false``, which Python
+    reads as the integers 1 and 0, are rejected."""
+    _require(
+        not isinstance(value, bool), f"{key} must be an integer, not {json.dumps(value)}"
+    )
+    return int(value)
+
+
 def _grid_points(spec: dict, dim: int):
     _require(
         {"lo", "hi", "count"} <= set(spec), "grid needs 'lo', 'hi' and 'count'"
     )
     _require(dim == 1, "grid shorthand is only available in dimension 1")
-    return [[x] for x in np.linspace(spec["lo"], spec["hi"], int(spec["count"]))]
+    count = _int(spec["count"], "grid count")
+    return [[x] for x in np.linspace(spec["lo"], spec["hi"], count)]
 
 
 def load_config(path: str, order_override: int | None = None) -> RunConfig:
@@ -94,12 +104,13 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
 
 def _parse_config(raw, order_override: int | None) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
+    version = raw.get("schema_version")
     _require(
-        raw.get("schema_version") == SCHEMA_VERSION,
+        not isinstance(version, bool) and version == SCHEMA_VERSION,
         f"schema_version must be {SCHEMA_VERSION}",
     )
     dim = raw.get("dimension")
-    _require(isinstance(dim, int) and 1 <= dim <= 4, "dimension must be in 1..4")
+    _require(type(dim) is int and 1 <= dim <= 4, "dimension must be in 1..4")
 
     prop_spec = raw.get("propagator")
     _require(isinstance(prop_spec, dict), "propagator spec is required")
@@ -167,7 +178,7 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
     if order_override is not None:
         order = order_override
     if order is not None:
-        order = int(order)
+        order = _int(order, "quadrature_order")
         _require(
             2 <= order <= MAX_ORDER, f"quadrature_order must be in 2..{MAX_ORDER}"
         )
@@ -177,7 +188,7 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
             f"nodes, more than {MAX_NODES}",
         )
 
-    degree = int(raw.get("projection_degree", 4))
+    degree = _int(raw.get("projection_degree", 4), "projection_degree")
     _require(1 <= degree <= 8, "projection_degree must be in 1..8")
 
     check_c = raw.get("semigroup_check_c")

@@ -1,15 +1,19 @@
-"""Randomized property suites behind the ``verify`` CLI command.
+"""The registry of randomized property checks, shared by the ``verify``
+command and the acceptance scorecard (``tests/test_acceptance.py``).
 
-Each check exercises one of the structural identities the library is built
-on (group laws, section homomorphisms, the Gaussian convolution semigroup,
-coarse-graining and the flow semigroup) with a seeded generator, and
-reports the maximum observed error against its tolerance.
+Each check tests one structural identity of the library (group laws, section
+homomorphisms, the Gaussian convolution semigroup, coarse-graining and the
+flow semigroup) as a per-sample function ``(rng, n) -> error``. ``verify``
+runs it at its registered trial count and dimensions from a seeded
+generator; the scorecard runs it with its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,19 +39,54 @@ class CheckResult:
         )
 
 
-SUITES = ("group", "gaussian", "convolution", "renorm", "all")
+@dataclass(frozen=True)
+class Check:
+    """One identity. ``sample(rng, n)`` draws one instance in dimension n
+    and returns its error, or a sequence of errors of a fixed length. The
+    check passes when the largest error over ``dims`` x ``trials`` draws is
+    at most ``tolerance``; a check that must detect a violation
+    (``exceeds``) passes above it."""
+
+    name: str
+    sample: Callable
+    tolerance: float
+    trials: int = 1
+    dims: tuple = (1,)
+    exceeds: bool = False
+
+    def max_error(self, rng, trials=None, dims=None) -> float:
+        """Largest error over the draws, taken dimension by dimension from
+        the caller's generator. Unlike the builtin ``max``, this is NaN if
+        any error is NaN, so a check that computes nothing cannot pass."""
+        trials = self.trials if trials is None else trials
+        dims = self.dims if dims is None else dims
+        return float(np.max([self.sample(rng, n) for n in dims for _ in range(trials)]))
+
+    def run(self, rng, trials=None, dims=None) -> CheckResult:
+        err = self.max_error(rng, trials, dims)
+        passed = err > self.tolerance if self.exceeds else err <= self.tolerance
+        return CheckResult(self.name, passed, err, self.tolerance)
 
 
-def _random_gl(rng, n):
+def _rel(a, b):
+    """Relative gaps |a - b| / max(|a|, 1e-12), elementwise."""
+    return np.abs(a - b) / np.maximum(np.abs(a), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sample helpers, shared with the test suite
+# ---------------------------------------------------------------------------
+
+def random_gl(rng, n):
     while True:
         m = rng.normal(size=(n, n))
         if abs(np.linalg.det(m)) > 0.1:
             return tn.GlElement(m)
 
 
-def _random_gl_pos(rng, n):
+def random_gl_pos(rng, n):
     """Random transform with positive determinant."""
-    m = _random_gl(rng, n)
+    m = random_gl(rng, n)
     if m.det < 0:
         flip = np.eye(n)
         flip[0, 0] = -1.0
@@ -55,23 +94,25 @@ def _random_gl_pos(rng, n):
     return m
 
 
-def _random_spd(rng, n, scale=1.0):
+def random_spd(rng, n, scale=1.0):
     a = rng.normal(size=(n, n))
     return tn.Sym2Tensor(scale * (a @ a.T + 0.5 * np.eye(n)))
 
 
-def _random_sym(rng, n):
+def random_sym(rng, n):
     a = rng.normal(size=(n, n))
     return tn.Sym2Tensor(0.5 * (a + a.T))
 
 
-def _random_osc(rng, n):
+def random_osc(rng, n):
     return og.OscElement(
-        _random_gl(rng, n), rng.normal(size=n), rng.normal(size=n), rng.normal()
+        random_gl(rng, n), rng.normal(size=n), rng.normal(size=n), rng.normal()
     )
 
 
-def _element_gap(a: og.OscElement, b: og.OscElement) -> float:
+def element_gap(a: og.OscElement, b: og.OscElement) -> float:
+    # Elements are finite by construction, so no gap is NaN and the
+    # builtin max loses nothing.
     return max(
         np.abs(a.m.matrix - b.m.matrix).max(),
         np.abs(a.k - b.k).max(),
@@ -84,312 +125,313 @@ def _element_gap(a: og.OscElement, b: og.OscElement) -> float:
 # group suite
 # ---------------------------------------------------------------------------
 
-def group_suite(seed: int, trials: int = 200) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            g, h, f = (_random_osc(rng, n) for _ in range(3))
-            lhs = og.osc_mul(og.osc_mul(g, h), f)
-            rhs = og.osc_mul(g, og.osc_mul(h, f))
-            err = max(err, _element_gap(lhs, rhs))
-    results.append(CheckResult("osc-associativity", err <= 1e-12, err, 1e-12))
-
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            g = _random_osc(rng, n)
-            err = max(
-                err,
-                _element_gap(og.osc_mul(g, og.osc_inv(g)), og.OscElement.identity(n)),
-            )
-    results.append(CheckResult("osc-identity-inverse", err <= 1e-10, err, 1e-10))
-
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            g, h = _random_osc(rng, n), _random_osc(rng, n)
-            err = max(
-                err,
-                np.abs(
-                    og.to_matrix(og.osc_mul(g, h)) - og.to_matrix(g) @ og.to_matrix(h)
-                ).max(),
-            )
-    results.append(CheckResult("matrix-representation", err <= 1e-12, err, 1e-12))
-
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            j, u, a = rng.normal(size=n), rng.normal(size=n), rng.normal()
-            k, v, b = rng.normal(size=n), rng.normal(size=n), rng.normal()
-            lhs = og.osc_mul(embed_heis(j, u, a), embed_heis(k, v, b))
-            rhs = embed_heis(j + k, u + v, a + b + float(j @ v))
-            err = max(err, _element_gap(lhs, rhs))
-    results.append(CheckResult("heisenberg-embedding", err <= 1e-12, err, 1e-12))
-
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            A, B = _random_sym(rng, n), _random_sym(rng, n)
-            k = rng.normal(size=n)
-            lhs = og.an_apply(A + B, k)
-            rhs = og.section_sum(og.an_section(A), og.an_section(B)).apply(k)
-            err = max(err, _element_gap(lhs, rhs))
-            # The section is also a homomorphism in k for fixed tensor.
-            k2 = rng.normal(size=n)
-            err = max(
-                err,
-                _element_gap(
-                    og.an_apply(A, k + k2),
-                    og.osc_mul(og.an_apply(A, k), og.an_apply(A, k2)),
-                ),
-            )
-    results.append(
-        CheckResult("section-sum-homomorphism", err <= 1e-12, err, 1e-12)
+def _associativity(rng, n):
+    g, h, f = (random_osc(rng, n) for _ in range(3))
+    return element_gap(
+        og.osc_mul(og.osc_mul(g, h), f), og.osc_mul(g, og.osc_mul(h, f))
     )
 
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            C = _random_sym(rng, n)
-            k1, k2 = rng.normal(size=n), rng.normal(size=n)
-            g1, g2 = og.an_apply(C, k1), og.an_apply(C, k2)
-            err = max(err, _element_gap(og.osc_mul(g1, g2), og.osc_mul(g2, g1)))
-    results.append(
-        CheckResult("annihilation-commutativity", err <= 1e-12, err, 1e-12)
+
+def _identity_inverse(rng, n):
+    g, e = random_osc(rng, n), og.OscElement.identity(n)
+    return (
+        element_gap(og.osc_mul(g, og.osc_inv(g)), e),
+        element_gap(og.osc_mul(g, e), g),
     )
 
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            C, M = _random_sym(rng, n), _random_gl(rng, n)
-            k = rng.normal(size=n)
-            lhs = og.an_apply(tn.act_sym(M, C), k)
-            rhs = og.act_sec(M, og.an_section(C)).apply(k)
-            err = max(err, _element_gap(lhs, rhs))
-    results.append(CheckResult("section-conjugation", err <= 1e-10, err, 1e-10))
 
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            C, M1, M2 = _random_sym(rng, n), _random_gl(rng, n), _random_gl(rng, n)
-            s = og.an_section(C)
-            lhs = og.act_sec(M1, og.act_sec(M2, s))
-            rhs = og.act_sec(M1 @ M2, s)
-            err = max(err, np.abs(lhs.a - rhs.a).max())
-    results.append(CheckResult("section-action-composition", err <= 1e-9, err, 1e-9))
-
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials // 2):
-            C = _random_sym(rng, n)
-            M1, M2 = _random_gl(rng, n), _random_gl(rng, n)
-            lhs = og.sd_mul(og.ur(C, M1), og.ur(C, M2))
-            rhs = og.ur(C, M1 @ M2)
-            err = max(
-                err,
-                max(
-                    np.abs(lhs.m.matrix - rhs.m.matrix).max(),
-                    np.abs(lhs.p.matrix - rhs.p.matrix).max(),
-                ),
-            )
-    results.append(CheckResult("scale-lift-homomorphism", err <= 1e-10, err, 1e-10))
-    return results
+def _matrix_representation(rng, n):
+    g, h = random_osc(rng, n), random_osc(rng, n)
+    gh = og.to_matrix(og.osc_mul(g, h))
+    return np.abs(gh - og.to_matrix(g) @ og.to_matrix(h)).max()
 
 
-def embed_heis(k, v, a):
-    return og.OscElement(tn.GlElement.identity(len(k)), k, v, a)
+def _heisenberg_embedding(rng, n):
+    heis = functools.partial(og.OscElement, tn.GlElement.identity(n))
+    j, u, a = rng.normal(size=n), rng.normal(size=n), rng.normal()
+    k, v, b = rng.normal(size=n), rng.normal(size=n), rng.normal()
+    lhs = og.osc_mul(heis(j, u, a), heis(k, v, b))
+    return element_gap(lhs, heis(j + k, u + v, a + b + float(j @ v)))
+
+
+def _section_sum(rng, n):
+    A, B = random_sym(rng, n), random_sym(rng, n)
+    k = rng.normal(size=n)
+    lhs = og.an_apply(A + B, k)
+    rhs = og.section_sum(og.an_section(A), og.an_section(B)).apply(k)
+    # The section is also a homomorphism in k for a fixed tensor.
+    k2 = rng.normal(size=n)
+    split = og.osc_mul(og.an_apply(A, k), og.an_apply(A, k2))
+    return element_gap(lhs, rhs), element_gap(og.an_apply(A, k + k2), split)
+
+
+def _commutativity(rng, n):
+    C = random_sym(rng, n)
+    k1, k2 = rng.normal(size=n), rng.normal(size=n)
+    g1, g2 = og.an_apply(C, k1), og.an_apply(C, k2)
+    return element_gap(og.osc_mul(g1, g2), og.osc_mul(g2, g1))
+
+
+def _section_conjugation(rng, n):
+    C, M = random_sym(rng, n), random_gl(rng, n)
+    k = rng.normal(size=n)
+    lhs = og.an_apply(tn.act_sym(M, C), k)
+    return element_gap(lhs, og.act_sec(M, og.an_section(C)).apply(k))
+
+
+def _action_composition(rng, n):
+    C, M1, M2 = random_sym(rng, n), random_gl(rng, n), random_gl(rng, n)
+    s = og.an_section(C)
+    lhs = og.act_sec(M1, og.act_sec(M2, s))
+    return np.abs(lhs.a - og.act_sec(M1 @ M2, s).a).max()
+
+
+def _scale_lift(rng, n):
+    C, M1, M2 = random_sym(rng, n), random_gl(rng, n), random_gl(rng, n)
+    lhs = og.sd_mul(og.ur(C, M1), og.ur(C, M2))
+    rhs = og.ur(C, M1 @ M2)
+    return (
+        np.abs(lhs.m.matrix - rhs.m.matrix).max(),
+        np.abs(lhs.p.matrix - rhs.p.matrix).max(),
+    )
 
 
 # ---------------------------------------------------------------------------
 # gaussian suite
 # ---------------------------------------------------------------------------
 
-def gaussian_suite(seed: int, trials: int = 50) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
+def _fixed_point(rng, n):
+    C = random_spd(rng, n)
+    g = gs.GaussianMeasure(C)
+    k, x = rng.uniform(-1, 1, size=n), rng.uniform(-2, 2, size=n)
+    return abs(gs.shifted_log_eval(g, C, k, x) - g.log_eval(x))
 
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(trials):
-            C = _random_spd(rng, n)
-            g = gs.GaussianMeasure(C)
-            k = rng.uniform(-1, 1, size=n)
-            x = rng.uniform(-2, 2, size=n)
-            err = max(err, abs(gs.shifted_log_eval(g, C, k, x) - g.log_eval(x)))
-    results.append(CheckResult("gaussian-fixed-point", err <= 1e-10, err, 1e-10))
 
-    margin = 0.0
-    for _ in range(trials):
-        C = _random_spd(rng, 2)
-        g = gs.GaussianMeasure(C)
-        wrong = 2.0 * C
-        k = rng.uniform(0.5, 1.0, size=2)
-        x = rng.uniform(-1, 1, size=2)
-        margin = max(
-            margin, abs(gs.shifted_log_eval(g, wrong, k, x) - g.log_eval(x))
-        )
-    results.append(
-        CheckResult("gaussian-fixed-point-rejects-wrong-covariance",
-                    margin > 1e-3, margin, 1e-3)
-    )
+def _wrong_covariance(rng, n):
+    C = random_spd(rng, n)
+    g = gs.GaussianMeasure(C)
+    k, x = rng.uniform(0.5, 1.0, size=n), rng.uniform(-1, 1, size=n)
+    return abs(gs.shifted_log_eval(g, 2.0 * C, k, x) - g.log_eval(x))
 
-    A = tn.Sym2Tensor([[1.0]])
-    B = tn.Sym2Tensor([[2.0]])
+
+def _gaussian_convolution(rng, n):
+    A, B = tn.Sym2Tensor([[1.0]]), tn.Sym2Tensor([[2.0]])
     exact = gs.GaussianMeasure(A + B)
     fa, fb = fn.FieldFunction.gaussian(A), fn.FieldFunction.gaussian(B)
-    rule = fn.QuadratureRule.for_covariance(A, order=40)
-    err = 0.0
-    for x in np.linspace(-3.0, 3.0, 21):
-        numeric = fn.convolve_numeric(fa, fb, rule, [x])
-        err = max(err, abs(numeric - exact.eval([x])) / exact.eval([x]))
-    results.append(CheckResult("gaussian-convolution-quadrature", err <= 1e-6, err, 1e-6))
+    return [
+        abs(fn.convolve_numeric(fa, fb, _rule_1d(1.0, 40), [x]) - exact.eval([x]))
+        / exact.eval([x])
+        for x in np.linspace(-3.0, 3.0, 21)
+    ]
 
-    err = 0.0
-    for n in (1, 2):
-        for _ in range(trials):
-            C = _random_spd(rng, n)
-            M = _random_gl_pos(rng, n)
-            g = gs.GaussianMeasure(C)
-            acted = gs.act_fun_gaussian(M, g)
-            expected = tn.act_sym(M.inverse, C)
-            err = max(err, np.max(np.abs(acted.covariance.matrix - expected.matrix)))
-            x = rng.uniform(-1, 1, size=n)
-            pointwise = M.det * g.eval(M.matrix @ x)
-            err = max(err, abs(pointwise - acted.eval(x)))
-    results.append(CheckResult("gaussian-gl-action", err <= 1e-10, err, 1e-10))
 
-    err = 0.0
-    for n in (1, 2):
-        g = gs.GaussianMeasure(_random_spd(rng, n))
-        err = max(err, abs(gs.normalization_by_quadrature(g) - 1.0))
-    results.append(CheckResult("gaussian-normalization", err <= 1e-8, err, 1e-8))
-    return results
+def _gl_action(rng, n):
+    C, M = random_spd(rng, n), random_gl_pos(rng, n)
+    g = gs.GaussianMeasure(C)
+    acted = gs.act_fun_gaussian(M, g)
+    x = rng.uniform(-1, 1, size=n)
+    return (
+        np.max(np.abs(acted.covariance.matrix - tn.act_sym(M.inverse, C).matrix)),
+        abs(M.det * g.eval(M.matrix @ x) - acted.eval(x)),
+    )
+
+
+def _normalization(rng, n):
+    g = gs.GaussianMeasure(random_spd(rng, n))
+    return abs(gs.normalization_by_quadrature(g) - 1.0)
 
 
 # ---------------------------------------------------------------------------
-# convolution suite
+# convolution suite (1-D); its rules and factors are built on first use
 # ---------------------------------------------------------------------------
 
-def convolution_suite(seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
+@functools.cache
+def _rule_1d(variance, order):
+    return fn.QuadratureRule.for_covariance(tn.Sym2Tensor([[variance]]), order=order)
 
-    f = fn.FieldFunction.gaussian(tn.Sym2Tensor([[1.0]]))
-    g = fn.FieldFunction.exp_polynomial([((2,), -0.3), ((1,), 0.2)], 1)
-    rule = fn.QuadratureRule.for_covariance(tn.Sym2Tensor([[0.8]]), order=40)
-    err = 0.0
-    for x in rng.uniform(-1.5, 1.5, size=20):
-        a = fn.convolve_numeric(f, g, rule, [x])
-        b = fn.convolve_numeric(g, f, rule, [x])
-        err = max(err, abs(a - b))
-    results.append(CheckResult("convolution-commutativity", err <= 1e-8, err, 1e-8))
 
-    M = tn.GlElement([[1.5]])
-    k = np.array([0.4])
+@functools.cache
+def _factors():
+    return (
+        fn.FieldFunction.gaussian(tn.Sym2Tensor([[1.0]])),
+        fn.FieldFunction.exp_polynomial([((2,), -0.3), ((1,), 0.2)], 1),
+    )
+
+
+def _conv_commutativity(rng, n):
+    (f, g), rule, x = _factors(), _rule_1d(0.8, 40), rng.uniform(-1.5, 1.5)
+    return abs(
+        fn.convolve_numeric(f, g, rule, [x]) - fn.convolve_numeric(g, f, rule, [x])
+    )
+
+
+def _linear_source_action(rng, n):
+    # det(M) factors out of the convolution of the acted factors.
+    (f, g), x = _factors(), rng.uniform(-1.0, 1.0)
+    M, k = tn.GlElement([[1.5]]), np.array([0.4])
     gel = og.OscElement(M, k, np.zeros(1), 0.0)
-    sf, sg = fn.sigma_act(f, gel), fn.sigma_act(g, gel)
-    rule_t = fn.QuadratureRule.for_covariance(tn.Sym2Tensor([[0.5]]), order=48)
-    err = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=20):
-        lhs = math.exp(float(k @ [x])) * fn.convolve_numeric(
-            f, g, rule, M.matrix @ [x]
-        )
-        rhs = M.det * fn.convolve_numeric(sf, sg, rule_t, [x])
-        err = max(err, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-    results.append(CheckResult("conv-linear-source-action", err <= 1e-6, err, 1e-6))
+    lhs = math.exp(float(k @ [x])) * fn.convolve_numeric(
+        f, g, _rule_1d(0.8, 40), M.matrix @ [x]
+    )
+    acted = fn.sigma_act(f, gel), fn.sigma_act(g, gel)
+    return _rel(lhs, M.det * fn.convolve_numeric(*acted, _rule_1d(0.5, 48), [x]))
 
+
+def _translation_action(rng, n):
+    # The shift may live on either factor.
+    (f, g), rule, x = _factors(), _rule_1d(0.8, 40), rng.uniform(-1.0, 1.0)
     shift = og.OscElement(tn.GlElement.identity(1), np.zeros(1), np.array([0.3]), 0.2)
-    sf = fn.sigma_act(f, shift)
-    sg = fn.sigma_act(g, shift)
-    err = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=20):
-        lhs = math.exp(0.2) * fn.convolve_numeric(f, g, rule, np.array([x + 0.3]))
-        mid = fn.convolve_numeric(sf, g, rule, [x])
-        rhs = fn.convolve_numeric(f, sg, rule, [x])
-        err = max(err, abs(lhs - mid) / max(abs(lhs), 1e-12))
-        err = max(err, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-    results.append(CheckResult("conv-translation-action", err <= 1e-6, err, 1e-6))
+    lhs = math.exp(0.2) * fn.convolve_numeric(f, g, rule, np.array([x + 0.3]))
+    return _rel(lhs, np.array([
+        fn.convolve_numeric(fn.sigma_act(f, shift), g, rule, [x]),
+        fn.convolve_numeric(f, fn.sigma_act(g, shift), rule, [x]),
+    ]))
 
+
+def _convolve_constant(rng, n):
     one = fn.FieldFunction.constant(1.0, 1)
     gau = fn.FieldFunction.gaussian(tn.Sym2Tensor([[1.3]]))
-    rule1 = fn.QuadratureRule.for_covariance(tn.Sym2Tensor([[1.3]]), order=40)
-    err = 0.0
-    for x in (-2.0, 0.0, 1.0):
-        err = max(err, abs(fn.convolve_numeric(gau, one, rule1, [x]) - 1.0))
-    results.append(CheckResult("gaussian-convolve-constant", err <= 1e-8, err, 1e-8))
-    return results
+    return [
+        abs(fn.convolve_numeric(gau, one, _rule_1d(1.3, 40), [x]) - 1.0)
+        for x in (-2.0, 0.0, 1.0)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# renorm suite
+# renorm suite (1-D)
 # ---------------------------------------------------------------------------
 
-def renorm_suite(seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
+def _quartic():
+    return fn.FieldFunction.polynomial([((4,), -0.1)], 1)
 
-    quartic = fn.FieldFunction.polynomial([((4,), -0.1)], 1)
-    P1 = tn.Sym2Tensor([[0.5]])
-    P2 = tn.Sym2Tensor([[0.5]])
+
+def _family():
+    return rn.PropagatorFamily.with_default_dilation(tn.Sym2Tensor([[1.0]]))
+
+
+def _coarse_grain_composition(rng, n):
+    quartic, P1, P2 = _quartic(), tn.Sym2Tensor([[0.5]]), tn.Sym2Tensor([[0.5]])
     direct = rn.wtilde(P1 + P2, quartic)
     nested = rn.wtilde(P1, rn.wtilde(P2, quartic))
     X = np.linspace(-1.5, 1.5, 10)[:, None]
-    a, b = direct.values(X), nested.values(X)
-    err = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
-    results.append(CheckResult("coarse-grain-composition", err <= 1e-5, err, 1e-5))
+    return _rel(direct.values(X), nested.values(X))
 
-    M = tn.GlElement([[2.0]])
-    P = tn.Sym2Tensor([[4.0]])
-    wt = rn.wtilde(P, quartic)
+
+def _rescaling(rng, n):
+    quartic, M, P = _quartic(), tn.GlElement([[2.0]]), tn.Sym2Tensor([[4.0]])
     Pr, Ir = rn.rescale(M, P, quartic)
-    wtr = rn.wtilde(Pr, Ir)
-    err = 0.0
-    for x in (-1.0, 0.0, 1.0):
-        a = wt(M.matrix @ [x])
-        b = wtr([x])
-        err = max(err, abs(a - b) / max(abs(a), 1e-12))
-    for J in rng.uniform(-0.5, 0.5, size=5):
-        a = rn.w_full(P, quartic, np.linalg.solve(M.matrix.T, [J]))
-        b = rn.w_full(Pr, Ir, [J])
-        err = max(err, abs(a - b) / max(abs(a), 1e-12))
-    results.append(CheckResult("rescaling-identity", err <= 1e-6, err, 1e-6))
+    wt, wtr = rn.wtilde(P, quartic), rn.wtilde(Pr, Ir)
+    pairs = [(wt(M.matrix @ [x]), wtr([x])) for x in (-1.0, 0.0, 1.0)]
+    pairs += [
+        (rn.w_full(P, quartic, np.linalg.solve(M.matrix.T, [J])), rn.w_full(Pr, Ir, [J]))
+        for J in rng.uniform(-0.5, 0.5, size=5)
+    ]
+    return _rel(*np.array(pairs).T)
 
-    fam = rn.PropagatorFamily.with_default_dilation(tn.Sym2Tensor([[1.0]]))
-    err = 0.0
-    X = np.linspace(-1.2, 1.2, 10)[:, None]
-    for I in (quartic, fn.FieldFunction.polynomial([((2,), -0.25)], 1)):
-        via = rn.renorm_step(fam, math.sqrt(2.0), rn.renorm_step(fam, math.sqrt(2.0), I))
-        direct = rn.renorm_step(fam, 2.0, I)
-        a, b = direct.values(X), via.values(X)
-        err = max(err, float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12))))
-    results.append(CheckResult("semigroup-law", err <= 1e-5, err, 1e-5))
 
-    a0, p = 0.6, 1.0
+def _semigroup(rng, n):
+    fam, X, root2 = _family(), np.linspace(-1.2, 1.2, 10)[:, None], math.sqrt(2.0)
+    errs = []
+    for I in (_quartic(), fn.FieldFunction.polynomial([((2,), -0.25)], 1)):
+        via = rn.renorm_step(fam, root2, rn.renorm_step(fam, root2, I))
+        errs.append(_rel(rn.renorm_step(fam, 2.0, I).values(X), via.values(X)))
+    return np.concatenate(errs)
+
+
+def _quadratic_flow(rng, n):
+    a0, p, h, fam = 0.6, 1.0, 0.5, _family()
     quad = fn.FieldFunction.polynomial([((2,), -0.5 * a0)], 1)
-    err = 0.0
+    errs = []
     for c in (1.25, 2.0, 4.0):
         flowed = rn.renorm_step(fam, c, quad)
-        h = 0.5
+        # exact 3-point quadratic fit on {-h, 0, h}
         coeff = (flowed([h]) + flowed([-h]) - 2.0 * flowed([0.0])) / (h * h)
         expected = -(a0 / c) / (1.0 + a0 * p * (1.0 - 1.0 / c))
-        err = max(err, abs(coeff - expected))
-    results.append(CheckResult("quadratic-flow-closed-form", err <= 1e-8, err, 1e-8))
+        errs.append(abs(coeff - expected))
+    return errs
 
-    err = 0.0
-    for c in (1.2, 2.0, 4.0):
-        step = rn.RenormStep.for_family(fam, c)
-        err = max(err, max(0.0, -tn.min_eigenvalue(step.step_tensor)))
-    results.append(CheckResult("monotonicity-gate", err <= 1e-10, err, 1e-10))
-    return results
+
+def _monotonicity_gate(rng, n):
+    steps = [rn.RenormStep.for_family(_family(), c) for c in (1.2, 2.0, 4.0)]
+    return [np.maximum(0.0, -tn.min_eigenvalue(s.step_tensor)) for s in steps]
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+#: Suite name -> its checks, in the order ``verify`` runs and prints them.
+CHECKS = {
+    "group": (
+        Check("osc-associativity", _associativity, 1e-12, 200, (1, 2, 3)),
+        Check("osc-identity-inverse", _identity_inverse, 1e-10, 200, (1, 2, 3)),
+        Check("matrix-representation", _matrix_representation, 1e-12, 200, (1, 2, 3)),
+        Check("heisenberg-embedding", _heisenberg_embedding, 1e-12, 200, (1, 2, 3)),
+        Check("section-sum-homomorphism", _section_sum, 1e-12, 200, (1, 2, 3)),
+        Check("annihilation-commutativity", _commutativity, 1e-12, 200, (1, 2, 3)),
+        Check("section-conjugation", _section_conjugation, 1e-10, 200, (1, 2, 3)),
+        Check("section-action-composition", _action_composition, 1e-9, 200, (1, 2, 3)),
+        Check("scale-lift-homomorphism", _scale_lift, 1e-10, 100, (1, 2, 3)),
+    ),
+    "gaussian": (
+        Check("gaussian-fixed-point", _fixed_point, 1e-10, 50, (1, 2, 3)),
+        Check("gaussian-fixed-point-rejects-wrong-covariance", _wrong_covariance,
+              1e-3, 50, (2,), exceeds=True),
+        Check("gaussian-convolution-quadrature", _gaussian_convolution, 1e-6),
+        Check("gaussian-gl-action", _gl_action, 1e-10, 50, (1, 2)),
+        Check("gaussian-normalization", _normalization, 1e-8, 1, (1, 2)),
+    ),
+    "convolution": (
+        Check("convolution-commutativity", _conv_commutativity, 1e-8, 20),
+        Check("conv-linear-source-action", _linear_source_action, 1e-6, 20),
+        Check("conv-translation-action", _translation_action, 1e-6, 20),
+        Check("gaussian-convolve-constant", _convolve_constant, 1e-8),
+    ),
+    "renorm": (
+        Check("coarse-grain-composition", _coarse_grain_composition, 1e-5),
+        Check("rescaling-identity", _rescaling, 1e-6),
+        Check("semigroup-law", _semigroup, 1e-5),
+        Check("quadratic-flow-closed-form", _quadratic_flow, 1e-8),
+        Check("monotonicity-gate", _monotonicity_gate, 1e-10),
+    ),
+}
+
+SUITES = (*CHECKS, "all")
+
+
+def find_check(name: str) -> Check:
+    return {c.name: c for suite in CHECKS.values() for c in suite}[name]
+
+
+def _run(suite: str, seed: int) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    return [check.run(rng) for check in CHECKS[suite]]
+
+
+# One entry point per suite, kept so that a profiler can time each suite by
+# wrapping these names (perfbench/tracing.py does).
+def group_suite(seed: int) -> list[CheckResult]:
+    return _run("group", seed)
+
+
+def gaussian_suite(seed: int) -> list[CheckResult]:
+    return _run("gaussian", seed)
+
+
+def convolution_suite(seed: int) -> list[CheckResult]:
+    return _run("convolution", seed)
+
+
+def renorm_suite(seed: int) -> list[CheckResult]:
+    return _run("renorm", seed)
 
 
 def run_suite(name: str, seed: int) -> list[CheckResult]:
+    """The results of one suite, or of every suite in registry order for
+    ``"all"``; each suite seeds its own generator."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
-    picked = SUITES[:-1] if name == "all" else (name,)
+    # Built per call, so a wrapper installed on a suite function is seen.
     dispatch = {
         "group": group_suite,
         "gaussian": gaussian_suite,
@@ -397,6 +439,6 @@ def run_suite(name: str, seed: int) -> list[CheckResult]:
         "renorm": renorm_suite,
     }
     results = []
-    for suite in picked:
+    for suite in CHECKS if name == "all" else (name,):
         results.extend(dispatch[suite](seed))
     return results

@@ -1,7 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from oscrenorm import GlElement, Sym2Tensor
+# The sample helpers live with the check registry; tests import them from here.
+from oscrenorm.verify import (  # noqa: F401
+    element_gap,
+    random_gl,
+    random_gl_pos,
+    random_osc,
+    random_spd,
+    random_sym,
+)
 
 
 @pytest.fixture
@@ -9,27 +19,28 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_spd(rng, n, scale=1.0):
-    a = rng.normal(size=(n, n))
-    return Sym2Tensor(scale * (a @ a.T + 0.5 * np.eye(n)))
+def base_config(**overrides):
+    """A valid 1-D flow config, with top-level keys replaced by ``overrides``."""
+    cfg = {
+        "schema_version": 1,
+        "dimension": 1,
+        "propagator": {"base": [[1.0]]},
+        "fiducial_scale": 1.0,
+        "interaction": {
+            "terms": [
+                {"exponents": [4], "coeff": -0.1},
+                {"exponents": [2], "coeff": -0.2},
+            ]
+        },
+        "scale_ladder": [1.0, 2.0, 4.0],
+        "sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": 5}},
+        "quadrature_order": 20,
+    }
+    cfg.update(overrides)
+    return cfg
 
 
-def random_sym(rng, n):
-    a = rng.normal(size=(n, n))
-    return Sym2Tensor(0.5 * (a + a.T))
-
-
-def random_gl(rng, n):
-    while True:
-        m = rng.normal(size=(n, n))
-        if abs(np.linalg.det(m)) > 0.1:
-            return GlElement(m)
-
-
-def random_gl_pos(rng, n):
-    m = random_gl(rng, n)
-    if m.det < 0:
-        flip = np.eye(n)
-        flip[0, 0] = -1.0
-        m = GlElement(m.matrix @ flip)
-    return m
+def write_config(tmp_path, name="config.json", **overrides):
+    path = tmp_path / name
+    path.write_text(json.dumps(base_config(**overrides)))
+    return str(path)

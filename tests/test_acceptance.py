@@ -3,9 +3,11 @@
 Each test exercises one numbered guarantee of the library at its stated
 tolerance and prints a single pass/fail line, so that running this module
 alone (``pytest -s tests/test_acceptance.py``) gives a readable scorecard.
+Where ``oscrenorm verify`` has the same identity, the criterion runs that
+registered check (``oscrenorm.verify.CHECKS``) with its own trial count and
+dimensions.
 """
 
-import json
 import math
 
 import numpy as np
@@ -16,36 +18,29 @@ from oscrenorm import (
     FieldFunction,
     GaussianMeasure,
     GlElement,
-    OscElement,
     PropagatorFamily,
     QuadratureRule,
     RenormStep,
     Sym2Tensor,
-    act_sec,
-    act_sym,
-    an_apply,
-    an_section,
     cgrl_compose,
     convolve_numeric,
     heat_kernel_base,
     min_eigenvalue,
-    osc_inv,
-    osc_mul,
     renorm_step,
     rescale,
-    section_sum,
-    sigma_act,
-    to_matrix,
     w_full,
     wtilde,
 )
 from oscrenorm.cli import main
-from oscrenorm.gaussian import shifted_log_eval
 from oscrenorm.oscgroup import ur
-from conftest import random_gl, random_gl_pos, random_spd, random_sym
+from oscrenorm.verify import find_check
+from conftest import write_config
 
 
-def report(number, name, max_err, tol, passed=None):
+def report(number, name, errors, tol, passed=None):
+    """Print and assert one criterion. Its error is the largest of
+    ``errors``, NaN if any is NaN, so a criterion that computes nothing fails."""
+    max_err = float(np.max(errors))
     if passed is None:
         passed = max_err <= tol
     status = "PASS" if passed else "FAIL"
@@ -53,164 +48,74 @@ def report(number, name, max_err, tol, passed=None):
     assert passed, f"criterion {number} ({name}): max_err={max_err:.3e} > tol={tol:.0e}"
 
 
-def element_gap(a, b):
-    return max(
-        float(np.max(np.abs(a.m.matrix - b.m.matrix))),
-        float(np.max(np.abs(a.k - b.k))),
-        float(np.max(np.abs(a.v - b.v))),
-        abs(a.c - b.c),
-    )
-
-
-def random_osc(rng, n):
-    return OscElement(
-        random_gl(rng, n), rng.normal(size=n), rng.normal(size=n), rng.normal()
-    )
+def registered(rng, *names, trials=None, dims=None):
+    """The largest error of each named check, over ``dims`` x ``trials``
+    draws, or over its registered counts when those are None."""
+    return [find_check(n).max_error(rng, trials, dims) for n in names]
 
 
 def test_01_group_axioms_and_faithfulness(rng):
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(1000):
-            g, h, f = (random_osc(rng, n) for _ in range(3))
-            err = max(
-                err,
-                element_gap(osc_mul(osc_mul(g, h), f), osc_mul(g, osc_mul(h, f))),
-            )
-            err = max(err, element_gap(osc_mul(g, OscElement.identity(n)), g))
-            err = max(
-                err, element_gap(osc_mul(g, osc_inv(g)), OscElement.identity(n))
-            )
-            err = max(
-                err,
-                float(
-                    np.max(
-                        np.abs(to_matrix(osc_mul(g, h)) - to_matrix(g) @ to_matrix(h))
-                    )
-                ),
-            )
-    report(1, "group axioms and matrix faithfulness", err, 1e-12)
+    # associativity, g g^-1 = e and g e = g, and the matrix representation
+    errs = registered(
+        rng, "osc-associativity", "osc-identity-inverse", "matrix-representation",
+        trials=1000, dims=(1, 2, 3),
+    )
+    report(1, "group axioms and matrix faithfulness", errs, 1e-12)
 
 
 def test_02_section_homomorphism(rng):
-    # An(A + B)(k) compared against the pointwise sum of the sections of A
-    # and B; the sum of sections is the section of the summed tensors.
-    err = 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 4))
-        A, B = random_sym(rng, n), random_sym(rng, n)
-        k = rng.normal(size=n)
-        lhs = an_apply(A + B, k)
-        rhs = section_sum(an_section(A), an_section(B)).apply(k)
-        err = max(err, element_gap(lhs, rhs))
-        # and the section of a fixed tensor is a homomorphism in its source
-        k2 = rng.normal(size=n)
-        err = max(
-            err,
-            element_gap(
-                an_apply(A, k + k2), osc_mul(an_apply(A, k), an_apply(A, k2))
-            ),
-        )
-    report(2, "annihilation-section homomorphism", err, 1e-12)
+    # An(A + B)(k) against the sum of the sections of A and B, and the
+    # section of a fixed tensor as a homomorphism in its source.
+    errs = registered(rng, "section-sum-homomorphism", trials=167, dims=(1, 2, 3))
+    report(2, "annihilation-section homomorphism", errs, 1e-12)
 
 
 def test_03_conjugation_lemma(rng):
-    err = 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 4))
-        M, C = random_gl(rng, n), random_sym(rng, n)
-        k = rng.normal(size=n)
-        lhs = an_apply(act_sym(M, C), k)
-        rhs = act_sec(M, an_section(C)).apply(k)
-        err = max(err, element_gap(lhs, rhs))
-    report(3, "section conjugation under GL(V)", err, 1e-10)
+    errs = registered(rng, "section-conjugation", trials=167, dims=(1, 2, 3))
+    report(3, "section conjugation under GL(V)", errs, 1e-10)
 
 
 def test_04_gaussian_characterization(rng):
-    err = 0.0
-    for n in (1, 2, 3):
-        for _ in range(100):
-            C = random_spd(rng, n)
-            g = GaussianMeasure(C)
-            k = rng.uniform(-1, 1, size=n)
-            x = rng.uniform(-2, 2, size=n)
-            err = max(err, abs(shifted_log_eval(g, C, k, x) - g.log_eval(x)))
-    margin = 0.0
-    for _ in range(100):
-        C = random_spd(rng, 2)
-        g = GaussianMeasure(C)
-        k = rng.uniform(0.5, 1.0, size=2)
-        x = rng.uniform(-1, 1, size=2)
-        margin = max(
-            margin, abs(shifted_log_eval(g, 2.0 * C, k, x) - g.log_eval(x))
-        )
+    [err] = registered(rng, "gaussian-fixed-point", trials=100, dims=(1, 2, 3))
+    [margin] = registered(
+        rng, "gaussian-fixed-point-rejects-wrong-covariance", trials=100, dims=(2,)
+    )
     report(4, "Gaussian fixed-point characterization", err, 1e-10,
            passed=err <= 1e-10 and margin > 1e-3)
 
 
-def test_05_convolution_theorem():
-    A1, B1 = Sym2Tensor([[1.0]]), Sym2Tensor([[2.0]])
-    exact1 = GaussianMeasure(A1 + B1)
-    fa, fb = FieldFunction.gaussian(A1), FieldFunction.gaussian(B1)
-    rule1 = QuadratureRule.for_covariance(A1, order=40)
-    err1 = 0.0
-    for x in np.linspace(-3.0, 3.0, 21):
-        numeric = convolve_numeric(fa, fb, rule1, [x])
-        err1 = max(err1, abs(numeric - exact1.eval([x])) / exact1.eval([x]))
+def test_05_convolution_theorem(rng):
+    [err1] = registered(rng, "gaussian-convolution-quadrature")
 
     A2 = Sym2Tensor([[1.0, 0.3], [0.3, 1.0]])
     B2 = Sym2Tensor.diagonal([0.5, 2.0])
     exact2 = GaussianMeasure(A2 + B2)
     ga, gb = FieldFunction.gaussian(A2), FieldFunction.gaussian(B2)
     # weight tuned to dominate the Gaussian product (A^-1 + B^-1)^-1
-    prod_cov = np.linalg.inv(
-        np.linalg.inv(A2.matrix) + np.linalg.inv(B2.matrix)
-    )
+    prod_cov = np.linalg.inv(np.linalg.inv(A2.matrix) + np.linalg.inv(B2.matrix))
     rule2 = QuadratureRule.for_covariance(Sym2Tensor(1.5 * prod_cov), order=24)
-    err2 = 0.0
-    for x1 in (-1.0, 0.0, 1.0):
-        for x2 in (-1.0, 0.0, 1.0):
-            p = np.array([x1, x2])
-            numeric = convolve_numeric(ga, gb, rule2, p)
-            err2 = max(err2, abs(numeric - exact2.eval(p)) / exact2.eval(p))
-    report(5, "Gaussian convolution vs quadrature", max(err1, err2 * 1e-2), 1e-6,
+    grid = [np.array([x1, x2]) for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.0, 1.0)]
+    err2 = np.max([
+        abs(convolve_numeric(ga, gb, rule2, p) - exact2.eval(p)) / exact2.eval(p)
+        for p in grid
+    ])
+    report(5, "Gaussian convolution vs quadrature", [err1, err2 * 1e-2], 1e-6,
            passed=err1 <= 1e-6 and err2 <= 1e-4)
 
 
 def test_06_conv_act_lemmas(rng):
-    f = FieldFunction.gaussian(Sym2Tensor([[1.0]]))
-    g = FieldFunction.exp_polynomial([((2,), -0.3), ((1,), 0.2)], 1)
-    rule = QuadratureRule.for_covariance(Sym2Tensor([[0.8]]), order=40)
-
-    # transform-and-source lemma: det(M) factors out of the convolution
-    M = GlElement([[1.5]])
-    k = np.array([0.4])
-    gel = OscElement(M, k, np.zeros(1), 0.0)
-    sf, sg = sigma_act(f, gel), sigma_act(g, gel)
-    rule_t = QuadratureRule.for_covariance(Sym2Tensor([[0.5]]), order=48)
-    err = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=20):
-        lhs = math.exp(float(k @ [x])) * convolve_numeric(f, g, rule, M.matrix @ [x])
-        rhs = M.det * convolve_numeric(sf, sg, rule_t, [x])
-        err = max(err, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-
-    # translation lemma: the shift may live on either factor
-    shift = OscElement(GlElement.identity(1), np.zeros(1), np.array([0.3]), 0.2)
-    tf, tg = sigma_act(f, shift), sigma_act(g, shift)
-    for x in rng.uniform(-1.0, 1.0, size=20):
-        lhs = math.exp(0.2) * convolve_numeric(f, g, rule, np.array([x + 0.3]))
-        mid = convolve_numeric(tf, g, rule, [x])
-        rhs = convolve_numeric(f, tg, rule, [x])
-        err = max(err, abs(lhs - mid) / max(abs(lhs), 1e-12))
-        err = max(err, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-    report(6, "convolution-action lemmas", err, 1e-6)
+    # transform-and-source lemma, then the translation lemma
+    errs = registered(
+        rng, "conv-linear-source-action", "conv-translation-action", trials=20,
+    )
+    report(6, "convolution-action lemmas", errs, 1e-6)
 
 
 def test_07_generating_function_quadratic(rng):
     p, a = 0.7, 0.9
     P = Sym2Tensor([[p]])
     I = FieldFunction.polynomial([((2,), -0.5 * a)], 1)
-    err = 0.0
+    errs = []
     for J in rng.uniform(-1.5, 1.5, size=10):
         # complete-the-square oracle for the quadratic interaction
         x = p * J
@@ -219,20 +124,13 @@ def test_07_generating_function_quadratic(rng):
             - 0.5 * math.log(1.0 + a * p)
             - 0.5 * a * x * x / (1.0 + a * p)
         )
-        err = max(err, abs(w_full(P, I, [J]) - oracle))
-    report(7, "generating function, quadratic oracle", err, 1e-8)
+        errs.append(abs(w_full(P, I, [J]) - oracle))
+    report(7, "generating function, quadratic oracle", errs, 1e-8)
 
 
-def test_08_coarse_grain_composition():
-    quartic = FieldFunction.polynomial([((4,), -0.1)], 1)
-    P1, P2 = Sym2Tensor([[0.5]]), Sym2Tensor([[0.5]])
-    direct = wtilde(P1 + P2, quartic)
-    nested = wtilde(P1, wtilde(P2, quartic))
-    err = 0.0
-    for x in np.linspace(-1.5, 1.5, 10):
-        da, db = direct([x]), nested([x])
-        err = max(err, abs(da - db) / max(abs(da), 1e-12))
-    report(8, "coarse-grain composition", err, 1e-5)
+def test_08_coarse_grain_composition(rng):
+    errs = registered(rng, "coarse-grain-composition")
+    report(8, "coarse-grain composition", errs, 1e-5)
 
 
 def test_09_rescaling(rng):
@@ -241,99 +139,68 @@ def test_09_rescaling(rng):
     quartic = FieldFunction.polynomial([((4,), -0.1)], 1)
     Pr, Ir = rescale(M, P, quartic)
     wt, wtr = wtilde(P, quartic), wtilde(Pr, Ir)
-    err = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=5):
-        da = wt(M.matrix @ [x])
-        db = wtr([x])
-        err = max(err, abs(da - db) / max(abs(da), 1e-12))
-    for J in rng.uniform(-0.5, 0.5, size=5):
-        da = w_full(P, quartic, np.linalg.solve(M.matrix.T, [J]))
-        db = w_full(Pr, Ir, [J])
-        err = max(err, abs(da - db) / max(abs(da), 1e-12))
-    report(9, "rescaling identities", err, 1e-6)
+    pairs = [(wt(M.matrix @ [x]), wtr([x])) for x in rng.uniform(-1.0, 1.0, size=5)]
+    pairs += [
+        (w_full(P, quartic, np.linalg.solve(M.matrix.T, [J])), w_full(Pr, Ir, [J]))
+        for J in rng.uniform(-0.5, 0.5, size=5)
+    ]
+    errs = [abs(da - db) / max(abs(da), 1e-12) for da, db in pairs]
+    report(9, "rescaling identities", errs, 1e-6)
 
 
-def test_10_semigroup_law():
+def test_10_semigroup_law(rng):
+    errs = registered(rng, "semigroup-law")
     fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
-    quartic = FieldFunction.polynomial([((4,), -0.1)], 1)
-    quadratic = FieldFunction.polynomial([((2,), -0.25)], 1)
-    err = 0.0
-    root2 = math.sqrt(2.0)
-    for I in (quartic, quadratic):
-        staged = renorm_step(fam, root2, renorm_step(fam, root2, I))
-        direct = renorm_step(fam, 2.0, I)
-        for x in np.linspace(-1.2, 1.2, 10):
-            da, db = direct([x]), staged([x])
-            err = max(err, abs(da - db) / max(abs(da), 1e-12))
+    for I in (
+        FieldFunction.polynomial([((4,), -0.1)], 1),
+        FieldFunction.polynomial([((2,), -0.25)], 1),
+    ):
         assert renorm_step(fam, 1.0, I) is I
-    report(10, "flow semigroup law", err, 1e-5)
+    report(10, "flow semigroup law", errs, 1e-5)
 
 
 def test_11_factorization():
     # the flow step factors through the lifted (T_c, P - T_c P T_c^T) pair
     fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
     I = FieldFunction.polynomial([((4,), -0.1), ((2,), -0.2)], 1)
-    err = 0.0
+    errs = []
     for c in (1.5, 2.0):
         lifted = ur(fam.base, fam.dilation.transform(c))
         pipeline = cgrl_compose(lifted.m, lifted.p, I)
         direct = renorm_step(fam, c, I)
-        for x in np.linspace(-1.0, 1.0, 7):
-            err = max(err, abs(pipeline([x]) - direct([x])))
-    report(11, "flow factorization through the lift", err, 1e-8)
+        errs += [abs(pipeline([x]) - direct([x])) for x in np.linspace(-1.0, 1.0, 7)]
+    report(11, "flow factorization through the lift", errs, 1e-8)
 
 
 def test_12_heat_kernel_base():
     L0 = 1.0
     C = heat_kernel_base(3, [[0.0, 0.0, 0.0]], L0)
     expected = 2.0 * (4.0 * math.pi) ** (-1.5) / math.sqrt(L0)
-    err = abs(C.matrix[0, 0] - expected)
+    errs = [abs(C.matrix[0, 0] - expected)]
     with pytest.raises(DivergentIntegral):
         heat_kernel_base(1, [[0.0]], L0)
     fam = PropagatorFamily.with_default_dilation(C)
-    gate = 0.0
     for c in (1.2, 2.0, 4.0):
         step = RenormStep.for_family(fam, c)
-        gate = max(gate, max(0.0, -min_eigenvalue(step.step_tensor)))
-    report(12, "heat-kernel base and monotonicity gate", max(err, gate), 1e-8)
+        errs.append(np.maximum(0.0, -min_eigenvalue(step.step_tensor)))
+    report(12, "heat-kernel base and monotonicity gate", errs, 1e-8)
 
 
-def test_13_quadratic_flow_closed_form():
-    a0, p = 0.6, 1.0
-    fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[p]]))
-    quad = FieldFunction.polynomial([((2,), -0.5 * a0)], 1)
-    err = 0.0
-    for c in (1.25, 2.0, 4.0):
-        flowed = renorm_step(fam, c, quad)
-        # exact 3-point quadratic fit on {-h, 0, h}
-        h = 0.5
-        coeff = (flowed([h]) + flowed([-h]) - 2.0 * flowed([0.0])) / (h * h)
-        expected = -(a0 / c) / (1.0 + a0 * p * (1.0 - 1.0 / c))
-        err = max(err, abs(coeff - expected))
-    report(13, "quadratic flow coefficient map", err, 1e-8)
+def test_13_quadratic_flow_closed_form(rng):
+    errs = registered(rng, "quadratic-flow-closed-form")
+    report(13, "quadratic flow coefficient map", errs, 1e-8)
 
 
 def test_14_cli_determinism(tmp_path):
-    config = {
-        "schema_version": 1,
-        "dimension": 1,
-        "propagator": {"base": [[1.0]]},
-        "fiducial_scale": 1.0,
-        "interaction": {
-            "terms": [
-                {"exponents": [4], "coeff": -0.1},
-                {"exponents": [2], "coeff": -0.2},
-            ]
-        },
-        "scale_ladder": [1.0, 2.0],
-        "sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": 7}},
-        "quadrature_order": 30,
-    }
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
+    cfg = write_config(
+        tmp_path,
+        scale_ladder=[1.0, 2.0],
+        sample_points={"grid": {"lo": -1.0, "hi": 1.0, "count": 7}},
+        quadrature_order=30,
+    )
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["flow", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["flow", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert main(["flow", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["flow", "--config", cfg, "--out", str(out2)]) == 0
     identical = out1.read_bytes() == out2.read_bytes()
     report(14, "CLI flow output determinism", 0.0 if identical else 1.0, 0.0,
            passed=identical)

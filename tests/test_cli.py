@@ -11,26 +11,7 @@ import oscrenorm
 from oscrenorm import QuadratureRule, cli
 from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
-
-
-def base_config(**overrides):
-    cfg = {
-        "schema_version": 1,
-        "dimension": 1,
-        "propagator": {"base": [[1.0]]},
-        "fiducial_scale": 1.0,
-        "interaction": {
-            "terms": [
-                {"exponents": [4], "coeff": -0.1},
-                {"exponents": [2], "coeff": -0.2},
-            ]
-        },
-        "scale_ladder": [1.0, 2.0, 4.0],
-        "sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": 5}},
-        "quadrature_order": 20,
-    }
-    cfg.update(overrides)
-    return cfg
+from conftest import write_config
 
 
 def config_4d():
@@ -44,12 +25,6 @@ def config_4d():
         ]},
         "sample_points": [[0.1, 0.2, 0.3, 0.4]],
     }
-
-
-def write_config(tmp_path, name="config.json", **overrides):
-    path = tmp_path / name
-    path.write_text(json.dumps(base_config(**overrides)))
-    return str(path)
 
 
 class TestLoadConfig:
@@ -196,6 +171,12 @@ class TestFlowCommand:
             {"sample_points": []},
             {"sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": "q"}}},
             {"semigroup_check_c": math.inf},
+            # JSON true is the integer 1 to Python; it is no integer here.
+            {"schema_version": True},
+            {"dimension": True},
+            {"quadrature_order": True},
+            {"projection_degree": True},
+            {"sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": True}}},
         ],
         ids=repr,
     )

@@ -20,18 +20,12 @@ from oscrenorm import (
     to_matrix,
     ur,
 )
-from conftest import random_gl, random_sym
+from conftest import random_gl, random_osc, random_sym
 
 
 def elem1(m, k, v, c):
     """1-D element from scalars."""
     return OscElement(GlElement([[float(m)]]), [float(k)], [float(v)], float(c))
-
-
-def random_osc(rng, n):
-    return OscElement(
-        random_gl(rng, n), rng.normal(size=n), rng.normal(size=n), rng.normal()
-    )
 
 
 class TestGroupLaw:

@@ -1,0 +1,54 @@
+"""The check registry shared by ``oscrenorm verify`` and the acceptance
+scorecard, and the suite contract the CLI and profilers rely on."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscrenorm import oscgroup
+from oscrenorm.cli import main
+from oscrenorm.verify import CHECKS, SUITES, find_check, run_suite
+
+
+@functools.cache
+def run_all(seed):
+    return run_suite("all", seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_suite_is_its_block_of_all(seed):
+    # Each suite seeds its own generator, so running it alone changes nothing.
+    blocks = [run_suite(suite, seed) for suite in CHECKS]
+    assert [r for block in blocks for r in block] == run_all(seed)
+
+
+def test_all_runs_each_registered_check_once_in_order():
+    names = [r.name for r in run_all(0)]
+    assert len(set(names)) == len(names)
+    assert names == [c.name for suite in CHECKS.values() for c in suite]
+    assert {"coarse-grain-composition", "semigroup-law"} <= set(names)
+    assert SUITES == (*CHECKS, "all")
+
+
+def test_nan_error_fails_the_check(monkeypatch, capsys):
+    # Only the 1-D samples are NaN; a reduction that skips them would pass
+    # on the finite 2-D and 3-D samples.
+    to_matrix = oscgroup.to_matrix
+    monkeypatch.setattr(
+        oscgroup, "to_matrix", lambda g: to_matrix(g) * (np.nan if g.dim == 1 else 1.0)
+    )
+    assert main(["verify", "--suite", "group"]) == 1
+    line = "matrix-representation                    FAIL  max_err=nan"
+    assert line in capsys.readouterr().out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_group_checks_and_gaussian_fixed_point_hold_up_to_4d(seed, n):
+    rng = np.random.default_rng(seed)
+    for check in (*CHECKS["group"], find_check("gaussian-fixed-point")):
+        result = check.run(rng, trials=3, dims=(n,))
+        assert result.passed, result.line()
