@@ -37,27 +37,23 @@ from .gaussian import (
 )
 from .oscgroup import (
     OscElement,
-    Section,
     UrElement,
-    act_sec,
     an_apply,
-    an_section,
     osc_inv,
     osc_mul,
     sd_mul,
-    section_sum,
     to_matrix,
     ur,
 )
 from .renorm import (
     DilationFamily,
     PropagatorFamily,
-    RenormStep,
     cgrl_compose,
     heat_kernel_base,
     propagator_at,
     renorm_step,
     rescale,
+    step_lift,
     w_full,
     wtilde,
 )

@@ -65,12 +65,11 @@ def _require(cond: bool, message: str):
 
 
 def _int(value, key: str) -> int:
-    """``int(value)``, except that JSON ``true`` and ``false``, which Python
-    reads as the integers 1 and 0, are rejected."""
-    _require(
-        not isinstance(value, bool), f"{key} must be an integer, not {json.dumps(value)}"
-    )
-    return int(value)
+    """``value`` if it is a JSON integer. Floats and strings are rejected
+    rather than truncated or parsed, and so are ``true`` and ``false``,
+    which Python reads as the integers 1 and 0."""
+    _require(type(value) is int, f"{key} must be an integer, not {json.dumps(value)}")
+    return value
 
 
 def _grid_points(spec: dict, dim: int):
@@ -104,13 +103,10 @@ def load_config(path: str, order_override: int | None = None) -> RunConfig:
 
 def _parse_config(raw, order_override: int | None) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
-    version = raw.get("schema_version")
-    _require(
-        not isinstance(version, bool) and version == SCHEMA_VERSION,
-        f"schema_version must be {SCHEMA_VERSION}",
-    )
-    dim = raw.get("dimension")
-    _require(type(dim) is int and 1 <= dim <= 4, "dimension must be in 1..4")
+    version = _int(raw.get("schema_version"), "schema_version")
+    _require(version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}")
+    dim = _int(raw.get("dimension"), "dimension")
+    _require(1 <= dim <= 4, "dimension must be in 1..4")
 
     prop_spec = raw.get("propagator")
     _require(isinstance(prop_spec, dict), "propagator spec is required")
@@ -231,12 +227,8 @@ def cmd_verify(suite: str, seed: int, stream=None) -> int:
 
 
 def _flow_record(config: RunConfig, points: np.ndarray, c: float) -> dict:
-    flowed = (
-        config.interaction
-        if c == 1.0
-        else renorm_step(config.family, c, config.interaction,
+    flowed = renorm_step(config.family, c, config.interaction,
                          order=config.quadrature_order)
-    )
     values = flowed.values(points)
     samples = [
         {"x": list(p), "value": _fmt(v)}

@@ -133,27 +133,23 @@ def propagator_at(fam: PropagatorFamily, L: float) -> Sym2Tensor:
     return act_sym(fam.dilation.transform(L / fam.fiducial_scale), fam.base)
 
 
-@dataclass(frozen=True)
-class RenormStep:
-    """Scale factor c with its cached (T_c, P_L0 - P_cL0) pair."""
+def step_lift(fam: PropagatorFamily, c: float) -> UrElement:
+    """The lift (T_c, P_L0 - P_cL0) of one step at factor c >= 1.
 
-    c: float
-    transform: GlElement
-    step_tensor: Sym2Tensor
-
-    @classmethod
-    def for_family(cls, fam: PropagatorFamily, c: float) -> "RenormStep":
-        c = float(c)
-        if c < 1.0:
-            raise ValueError(f"step factor must be >= 1, got {c}")
-        lifted: UrElement = ur(fam.base, fam.dilation.transform(c))
-        gap = min_eigenvalue(lifted.p)
-        if gap < -PSD_SLACK:
-            raise MonotonicityViolated(
-                f"P_L0 - P_cL0 has eigenvalue {gap:.3e} < 0: the propagator "
-                f"family is not monotone at c = {c}"
-            )
-        return cls(c=c, transform=lifted.m, step_tensor=lifted.p)
+    Raises MonotonicityViolated when the step tensor is not positive
+    semi-definite, i.e. the family does not coarse-grain monotonically.
+    """
+    c = float(c)
+    if c < 1.0:
+        raise ValueError(f"step factor must be >= 1, got {c}")
+    lift = ur(fam.base, fam.dilation.transform(c))
+    gap = min_eigenvalue(lift.p)
+    if gap < -PSD_SLACK:
+        raise MonotonicityViolated(
+            f"P_L0 - P_cL0 has eigenvalue {gap:.3e} < 0: the propagator "
+            f"family is not monotone at c = {c}"
+        )
+    return lift
 
 
 def heat_kernel_base(
@@ -275,15 +271,15 @@ def renorm_step(
     order: int | None = None,
 ) -> FieldFunction:
     """One renormalization step: I -> wtilde(P_L0 - P_cL0, I) o T_c, i.e.
-    ``cgrl_compose`` of the lift of T_c.
+    ``cgrl_compose`` of ``step_lift(fam, c)``.
 
     At c = 1 the step tensor vanishes and the input is returned unchanged.
     """
-    step = RenormStep.for_family(fam, c)
+    lift = step_lift(fam, c)
     scale = max(1.0, _inf_norm(fam.base.matrix))
-    if step.step_tensor.is_zero(atol=PSD_SLACK * scale):
+    if lift.p.is_zero(atol=PSD_SLACK * scale):
         return I
-    return cgrl_compose(step.transform, step.step_tensor, I, order=order)
+    return cgrl_compose(lift.m, lift.p, I, order=order)
 
 
 def project_polynomial(

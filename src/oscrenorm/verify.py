@@ -157,12 +157,18 @@ def _heisenberg_embedding(rng, n):
 def _section_sum(rng, n):
     A, B = random_sym(rng, n), random_sym(rng, n)
     k = rng.normal(size=n)
-    lhs = og.an_apply(A + B, k)
-    rhs = og.section_sum(og.an_section(A), og.an_section(B)).apply(k)
+    # An(A)(k) and An(B)(k) share their M and k parts; the fibrewise sum
+    # adds the v and c parts.
+    a, b = og.an_apply(A, k), og.an_apply(B, k)
+    summed = og.an_apply(A + B, k)
     # The section is also a homomorphism in k for a fixed tensor.
     k2 = rng.normal(size=n)
-    split = og.osc_mul(og.an_apply(A, k), og.an_apply(A, k2))
-    return element_gap(lhs, rhs), element_gap(og.an_apply(A, k + k2), split)
+    split = og.osc_mul(a, og.an_apply(A, k2))
+    return (
+        np.abs(summed.v - (a.v + b.v)).max(),
+        abs(summed.c - (a.c + b.c)),
+        element_gap(og.an_apply(A, k + k2), split),
+    )
 
 
 def _commutativity(rng, n):
@@ -173,17 +179,18 @@ def _commutativity(rng, n):
 
 
 def _section_conjugation(rng, n):
+    # (M,0,0,0) * An(C)(kM) * (M,0,0,0)^-1 through the group law.
     C, M = random_sym(rng, n), random_gl(rng, n)
     k = rng.normal(size=n)
-    lhs = og.an_apply(tn.act_sym(M, C), k)
-    return element_gap(lhs, og.act_sec(M, og.an_section(C)).apply(k))
+    mg = og.OscElement(M, np.zeros(n), np.zeros(n), 0.0)
+    lhs = og.osc_mul(og.osc_mul(mg, og.an_apply(C, M.matrix.T @ k)), og.osc_inv(mg))
+    return element_gap(lhs, og.an_apply(tn.act_sym(M, C), k))
 
 
 def _action_composition(rng, n):
     C, M1, M2 = random_sym(rng, n), random_gl(rng, n), random_gl(rng, n)
-    s = og.an_section(C)
-    lhs = og.act_sec(M1, og.act_sec(M2, s))
-    return np.abs(lhs.a - og.act_sec(M1 @ M2, s).a).max()
+    lhs = tn.act_sym(M1, tn.act_sym(M2, C))
+    return np.abs(lhs.matrix - tn.act_sym(M1 @ M2, C).matrix).max()
 
 
 def _scale_lift(rng, n):
@@ -352,8 +359,8 @@ def _quadratic_flow(rng, n):
 
 
 def _monotonicity_gate(rng, n):
-    steps = [rn.RenormStep.for_family(_family(), c) for c in (1.2, 2.0, 4.0)]
-    return [np.maximum(0.0, -tn.min_eigenvalue(s.step_tensor)) for s in steps]
+    lifts = [rn.step_lift(_family(), c) for c in (1.2, 2.0, 4.0)]
+    return [np.maximum(0.0, -tn.min_eigenvalue(lift.p)) for lift in lifts]
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,12 @@ class TestFlowCommand:
             {"quadrature_order": True},
             {"projection_degree": True},
             {"sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": True}}},
+            # Integer fields are neither truncated nor parsed from strings.
+            {"schema_version": 1.0},
+            {"quadrature_order": 12.7},
+            {"quadrature_order": "12"},
+            {"projection_degree": 2.9},
+            {"sample_points": {"grid": {"lo": -1.0, "hi": 1.0, "count": 5.9}}},
         ],
         ids=repr,
     )

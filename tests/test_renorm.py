@@ -17,13 +17,13 @@ from oscrenorm import (
     NonPositiveScale,
     NotPositiveDefinite,
     PropagatorFamily,
-    RenormStep,
     Sym2Tensor,
     cgrl_compose,
     heat_kernel_base,
     propagator_at,
     renorm_step,
     rescale,
+    step_lift,
     w_full,
     wtilde,
 )
@@ -108,24 +108,23 @@ class TestPropagatorFamily:
 
 class TestRenormStep:
     def test_matches_ur_lift(self):
+        # T_4 = id / 2, so the step tensor is P_L0 - P_L0 / 4.
         fam = PropagatorFamily.with_default_dilation(Sym2Tensor.diagonal([1.0, 2.0]))
-        step = RenormStep.for_family(fam, 4.0)
-        lifted = ur(fam.base, fam.dilation.transform(4.0))
-        np.testing.assert_allclose(step.transform.matrix, lifted.m.matrix)
-        np.testing.assert_allclose(step.step_tensor.matrix, lifted.p.matrix)
-        np.testing.assert_allclose(step.step_tensor.matrix, np.diag([0.75, 1.5]))
+        lift = step_lift(fam, 4.0)
+        np.testing.assert_allclose(lift.m.matrix, 0.5 * np.eye(2))
+        np.testing.assert_allclose(lift.p.matrix, np.diag([0.75, 1.5]))
 
     def test_rejects_c_below_one(self):
         fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
         with pytest.raises(ValueError):
-            RenormStep.for_family(fam, 0.5)
+            step_lift(fam, 0.5)
 
     def test_expanding_generator_is_not_monotone(self):
         fam = PropagatorFamily(
             Sym2Tensor([[1.0]]), DilationFamily([[0.5]])
         )
         with pytest.raises(MonotonicityViolated):
-            RenormStep.for_family(fam, 2.0)
+            step_lift(fam, 2.0)
 
 
 class TestHeatKernel:
@@ -249,6 +248,14 @@ class TestRenormStepFlow:
     def test_identity_at_one(self):
         fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
         I = quadratic_interaction(0.4)
+        assert renorm_step(fam, 1.0, I) is I
+
+    def test_identity_at_one_with_nondefault_generator(self):
+        # T_1 = expm(0) is exactly id, so the step tensor C - C vanishes.
+        dilation = DilationFamily([[-0.7, 0.2], [0.1, -0.4]])
+        fam = PropagatorFamily(Sym2Tensor([[1.3, 0.4], [0.4, 0.8]]), dilation)
+        I = FieldFunction.polynomial([((4, 0), -0.1), ((1, 1), 0.3), ((0, 2), -0.2)], 2)
+        assert step_lift(fam, 1.0).p.is_zero()
         assert renorm_step(fam, 1.0, I) is I
 
     def test_quadratic_coefficient_map(self):
