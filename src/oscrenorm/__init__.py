@@ -32,8 +32,6 @@ from .functions import (
 from .gaussian import (
     GaussianMeasure,
     act_fun_gaussian,
-    check_gauss_char,
-    gaussian_convolve,
 )
 from .oscgroup import (
     OscElement,
@@ -50,7 +48,6 @@ from .renorm import (
     PropagatorFamily,
     cgrl_compose,
     heat_kernel_base,
-    propagator_at,
     renorm_step,
     rescale,
     step_lift,
@@ -64,7 +61,6 @@ from .tensors import (
     as_vector,
     cholesky,
     contract,
-    invert_form,
     is_positive_definite,
     min_eigenvalue,
     quad_form,

@@ -33,15 +33,13 @@ from .errors import (
     NonPositiveValue,
     NotIntegrable,
     NotPositiveDefinite,
-    QuadratureOverflow,
 )
-# default_order stays importable from here, where it was first defined.
-from .gaussian import GaussianMeasure, QuadratureRule, default_order  # noqa: F401
+# default_order stays importable from here: perfbench/tracing.py reads
+# functions.default_order to count the nodes of default-order convolutions.
+from .gaussian import GaussianMeasure, QuadratureRule, _weighted_sums
+from .gaussian import default_order  # noqa: F401
 from .oscgroup import OscElement
 from .tensors import GlElement, Sym2Tensor, as_block, as_vector, is_positive_definite
-
-#: log of the largest representable integrand factor before we bail out.
-_OVERFLOW_LOG = 700.0
 
 #: Most (point, node) integrand rows one chunk of a Gaussian convolution
 #: evaluates at once; bounds the memory of its temporaries.
@@ -222,18 +220,13 @@ def convolve_numeric(
         raise NotIntegrable("at least one convolution factor must be integrable")
     xv = as_vector(x, f.dim)
     nodes = rule.nodes
-    # An overflowing product fails the guard below; a zero one gives
+    # An overflowing product fails the reduction's guard; a zero one gives
     # log 0 = -inf and contributes exactly 0.
     with np.errstate(over="ignore", divide="ignore"):
         prod = f.evaluator(nodes) * g.evaluator(xv - nodes)
-        log_mag = np.log(np.abs(prod)) - GaussianMeasure(rule.covariance).log_density(nodes)
-    hot = np.flatnonzero(log_mag > _OVERFLOW_LOG)
-    if hot.size:
-        i = hot[0]
-        raise QuadratureOverflow(
-            f"integrand magnitude exp({log_mag[i]:.1f}) at node {nodes[i]}"
-        )
-    return float(np.sum(rule.weights * np.sign(prod) * np.exp(log_mag)))
+        log_ratio = np.log(np.abs(prod)) - GaussianMeasure(rule.covariance).log_density(nodes)
+    log_weights, signs = np.log(rule.weights), np.sign(prod)[None, :]
+    return float(_weighted_sums(log_weights, log_ratio[None, :], xv[None, :], signs)[0])
 
 
 def gauss_convolve_exp(
@@ -247,7 +240,7 @@ def gauss_convolve_exp(
     Computed at each point as the expectation of exp(I(x - y)) over
     y ~ N(0, P), via Hermite nodes transformed by the Cholesky factor of P.
     A block of points is taken in chunks of at most ``_CHUNK_ROWS``
-    (point, node) rows, each reduced with one log-sum-exp per point.
+    (point, node) rows, each reduced by ``gaussian._weighted_sums``.
     """
     if not is_positive_definite(P):
         raise NotPositiveDefinite("convolution covariance must be positive definite")
@@ -267,15 +260,8 @@ def gauss_convolve_exp(
         for lo in range(0, len(X), per_chunk):
             x = X[lo:lo + per_chunk]
             shifted = (x[:, None, :] - nodes).reshape(-1, P.dim)
-            exponents = log_weights + I.evaluator(shifted).reshape(len(x), -1)
-            peak = exponents.max(axis=1)
-            hot = np.flatnonzero(peak > _OVERFLOW_LOG)
-            if hot.size:
-                raise QuadratureOverflow(
-                    f"integrand magnitude exp({peak[hot[0]]:.1f}) at a shifted "
-                    f"node for the point {x[hot[0]]}"
-                )
-            value = np.exp(peak) * np.sum(np.exp(exponents - peak[:, None]), axis=1)
+            log_values = I.evaluator(shifted).reshape(len(x), -1)
+            value = _weighted_sums(log_weights, log_values, x)
             bad = np.flatnonzero(~(value > 0.0))
             if bad.size:
                 raise NonPositiveConvolution(

@@ -1,11 +1,11 @@
 """Normalized centered Gaussian measures and their convolution semigroup.
 
 The density of N[C] is (2 pi)^(-n/2) det(C)^(-1/2) exp(-x C^{-1} x / 2).
-Convolution adds covariances exactly, and GL(V) acts through
-det(M) N(C) o M = N(M^{-1} C M^{-T}).  Evaluation is done in the log
-domain (log-normalizer plus quadratic form) and exponentiated at the
-boundary.  Expectations under N(C) are taken with a tensor-product
-Gauss-Hermite ``QuadratureRule``.
+Convolution adds covariances, N(A) * N(B) = N(A + B), and GL(V) acts
+through det(M) N(C) o M = N(M^{-1} C M^{-T}).  Evaluation is done in the
+log domain (log-normalizer plus quadratic form).  Expectations under N(C)
+are taken with a tensor-product Gauss-Hermite ``QuadratureRule``, and every
+weighted sum over its nodes is reduced by ``_weighted_sums``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveDeterminant,
     NotPositiveDefinite,
+    QuadratureOverflow,
     UnsupportedOrder,
 )
 from .tensors import (
@@ -79,9 +80,6 @@ class GaussianMeasure:
     def log_eval(self, x) -> float:
         return float(self.log_density(as_vector(x, self.dim)[None, :])[0])
 
-    def eval(self, x) -> float:
-        return math.exp(self.log_eval(x))
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -124,11 +122,29 @@ class QuadratureRule:
         return cls(nodes=nodes, weights=weights, covariance=C, order=q)
 
 
-def gaussian_convolve(g1: GaussianMeasure, g2: GaussianMeasure) -> GaussianMeasure:
-    """N(A) * N(B) = N(A + B), computed as exact covariance addition."""
-    if g1.dim != g2.dim:
-        raise DimensionMismatch(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    return GaussianMeasure(g1.covariance + g2.covariance)
+#: log of the largest weighted integrand term a reduction accepts.
+_OVERFLOW_LOG = 700.0
+
+
+def _weighted_sums(log_weights, log_values, points, signs=None) -> np.ndarray:
+    """Per row of an (m, q) block of log-integrand values, one row per point,
+    the weighted sum exp(peak) * sum(sign * exp(e - peak)), e = log_weights
+    + log_values; an all-zero row sums to 0.  Raises QuadratureOverflow,
+    naming the row's point, when its peak exceeds ``_OVERFLOW_LOG``."""
+    e = log_weights + log_values
+    peak = e.max(axis=1)
+    hot = np.flatnonzero(peak > _OVERFLOW_LOG)
+    if hot.size:
+        i = hot[0]
+        raise QuadratureOverflow(
+            f"integrand magnitude exp({peak[i]:.1f}) at a node for the point {points[i]}"
+        )
+    # An all-zero row has peak -inf; a shift of 0 keeps its terms at 0.
+    shift = np.where(np.isneginf(peak), 0.0, peak)
+    terms = np.exp(e - shift[:, None])
+    if signs is not None:
+        terms *= signs
+    return np.exp(shift) * np.sum(terms, axis=1)
 
 
 def act_fun_gaussian(M: GlElement, g: GaussianMeasure) -> GaussianMeasure:
@@ -159,37 +175,9 @@ def normalization_by_quadrature(g: GaussianMeasure, order: int | None = None) ->
     The weight covariance is deliberately inflated to 2C so the result is a
     genuine quadrature estimate rather than an identity of the rule.
     """
-    if order is None:
-        order = {1: 40, 2: 24, 3: 14}.get(g.dim, 10)
     weight = GaussianMeasure(2.0 * g.covariance)
     rule = QuadratureRule.for_covariance(weight.covariance, order)
-    ratio = np.exp(g.log_density(rule.nodes) - weight.log_density(rule.nodes))
-    return float(np.sum(rule.weights * ratio))
-
-
-def check_gauss_char(
-    g: GaussianMeasure,
-    C: Sym2Tensor,
-    trials: int = 50,
-    rng: np.random.Generator | None = None,
-    atol: float = 1e-10,
-    norm_atol: float = 1e-8,
-    order: int | None = None,
-) -> bool:
-    """Fixed-point test: is g invariant under the annihilation orbit of C?
-
-    Samples random (k, x) pairs and compares the closed-form orbit value
-    against g pointwise, then confirms the total integral of g is 1 by
-    quadrature.  Together the two conditions characterize g = N(C).
-    """
-    if g.dim != C.dim:
-        raise DimensionMismatch(f"dimension mismatch: {g.dim} vs {C.dim}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(int(trials)):
-        k = rng.uniform(-1.0, 1.0, size=g.dim)
-        x = rng.uniform(-2.0, 2.0, size=g.dim)
-        moved = shifted_log_eval(g, C, k, x)
-        if abs(moved - g.log_eval(x)) > atol:
-            return False
-    return abs(normalization_by_quadrature(g, order) - 1.0) <= norm_atol
+    log_ratio = g.log_density(rule.nodes) - weight.log_density(rule.nodes)
+    # The integral is (g * 1)(0), so an overflow names the origin.
+    origin = np.zeros((1, g.dim))
+    return float(_weighted_sums(np.log(rule.weights), log_ratio[None, :], origin)[0])

@@ -125,14 +125,6 @@ class PropagatorFamily:
         return cls(base, DilationFamily.default(base.dim), fiducial_scale)
 
 
-def propagator_at(fam: PropagatorFamily, L: float) -> Sym2Tensor:
-    """Covariance at scale L: conjugate the base by T_{L/L0}."""
-    L = float(L)
-    if L <= 0.0:
-        raise NonPositiveScale(f"scale must be positive, got {L}")
-    return act_sym(fam.dilation.transform(L / fam.fiducial_scale), fam.base)
-
-
 def step_lift(fam: PropagatorFamily, c: float) -> UrElement:
     """The lift (T_c, P_L0 - P_cL0) of one step at factor c >= 1.
 

@@ -222,14 +222,6 @@ def quad_form(k, C: Sym2Tensor) -> float:
     return float(kv @ C.matrix @ kv)
 
 
-def invert_form(C: Sym2Tensor) -> Sym2Tensor:
-    """Inverse tensor, defined by C C^{-1} = id."""
-    svals = np.linalg.svd(C.matrix, compute_uv=False)
-    if svals[-1] <= SINGULAR_RTOL * svals[0] or svals[0] == 0.0:
-        raise SingularTensor("tensor is singular to working precision")
-    return Sym2Tensor(np.linalg.inv(C.matrix))
-
-
 def act_sym(M: GlElement, C: Sym2Tensor) -> Sym2Tensor:
     """Conjugation action of GL(V) on symmetric tensors: M C M^T."""
     _check_same_dim(M, C)

@@ -53,7 +53,7 @@ class TestFieldFunction:
     def test_gaussian_kind(self):
         f = FieldFunction.gaussian(Sym2Tensor.identity(1))
         g = GaussianMeasure(Sym2Tensor.identity(1))
-        assert f([0.5]) == pytest.approx(g.eval([0.5]))
+        assert f([0.5]) == pytest.approx(math.exp(g.log_eval([0.5])))
         assert f.integrable
 
     def test_terms_json_round_trip(self):
@@ -212,21 +212,21 @@ class TestConvolveNumeric:
     def test_gaussian_pair_closed_form(self):
         a = FieldFunction.gaussian(Sym2Tensor([[1.0]]))
         b = FieldFunction.gaussian(Sym2Tensor([[2.0]]))
-        target = GaussianMeasure(Sym2Tensor([[3.0]]))
+        target = FieldFunction.gaussian(Sym2Tensor([[3.0]]))
         rule = QuadratureRule.for_covariance(Sym2Tensor([[2.5]]), order=50)
         for x in (-1.0, 0.0, 1.7):
             est = convolve_numeric(a, b, rule, [x])
-            assert est == pytest.approx(target.eval([x]), rel=1e-8)
+            assert est == pytest.approx(target([x]), rel=1e-8)
 
     def test_2d_gaussian_pair(self):
         A = Sym2Tensor([[1.0, 0.3], [0.3, 1.0]])
         B = Sym2Tensor.diagonal([0.5, 2.0])
         a, b = FieldFunction.gaussian(A), FieldFunction.gaussian(B)
-        target = GaussianMeasure(A + B)
+        target = FieldFunction.gaussian(A + B)
         rule = QuadratureRule.for_covariance(2.0 * A, order=24)
         x = np.array([0.4, -0.6])
         assert convolve_numeric(a, b, rule, x) == pytest.approx(
-            target.eval(x), rel=1e-4
+            target(x), rel=1e-4
         )
 
     def test_commutative(self):
@@ -251,6 +251,21 @@ class TestConvolveNumeric:
         rule = QuadratureRule.for_covariance(Sym2Tensor([[100.0]]), order=10)
         with pytest.raises(QuadratureOverflow):
             convolve_numeric(big, big, rule, [0.0])
+
+    def test_all_products_underflow_to_zero(self):
+        # Every node product is 0, so every log term is -inf; the sum is 0.
+        g = FieldFunction.gaussian(Sym2Tensor([[1e-4]]))
+        rule = QuadratureRule.for_covariance(Sym2Tensor([[1e-4]]), order=10)
+        assert convolve_numeric(g, g, rule, [50.0]) == 0.0
+
+    def test_signed_factor(self):
+        # int y N(1)(x - y) dy = x, with a factor that changes sign.
+        y = FieldFunction.polynomial([((1,), 1.0)], dim=1)
+        g = FieldFunction.gaussian(Sym2Tensor([[1.0]]))
+        rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0]]), order=40)
+        for x in (-1.3, 0.0, 0.7):
+            assert convolve_numeric(y, g, rule, [x]) == pytest.approx(x, abs=1e-12)
+            assert convolve_numeric(g, y, rule, [x]) == pytest.approx(x, abs=1e-12)
 
 
 class TestGaussConvolveExp:

@@ -194,10 +194,6 @@ class TestSectionArithmetic:
 
 
 class TestSectionAction:
-    def test_identity_transform(self, rng):
-        C, eye = random_sym(rng, 2), GlElement.identity(2)
-        np.testing.assert_array_equal(act_sym(eye, C).matrix, C.matrix)
-
     def test_conjugation_identity(self, rng):
         # The conjugation lemma in the block-matrix representation.
         for _ in range(100):
@@ -214,13 +210,6 @@ class TestSectionAction:
             mg = OscElement(M, np.zeros(2), np.zeros(2), 0.0)
             lhs = osc_mul(osc_mul(mg, an_apply(C, M.matrix.T @ k)), osc_inv(mg))
             assert element_gap(lhs, an_apply(act_sym(M, C), k)) <= 1e-10
-
-    def test_action_composition(self, rng):
-        for _ in range(50):
-            M1, M2, C = random_gl(rng, 2), random_gl(rng, 2), random_sym(rng, 2)
-            lhs = act_sym(M1, act_sym(M2, C)).matrix
-            rhs = act_sym(M1 @ M2, C).matrix
-            np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-9)
 
     def test_automorphism_under_sum(self, rng):
         M, A, B = random_gl(rng, 2), random_sym(rng, 2), random_sym(rng, 2)

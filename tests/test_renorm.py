@@ -20,7 +20,6 @@ from oscrenorm import (
     Sym2Tensor,
     cgrl_compose,
     heat_kernel_base,
-    propagator_at,
     renorm_step,
     rescale,
     step_lift,
@@ -78,32 +77,11 @@ class TestDilationFamily:
 
 
 class TestPropagatorFamily:
-    def test_default_scaling(self):
-        fam = PropagatorFamily.with_default_dilation(
-            Sym2Tensor([[3.0]]), fiducial_scale=2.0
-        )
-        # T_{L/L0} = (L/L0)^{-1/2}, so P(L) = 3 * L0 / L
-        np.testing.assert_allclose(
-            propagator_at(fam, 6.0).matrix, [[1.0]], rtol=1e-12
-        )
-
-    def test_base_recovered_at_fiducial(self, rng):
-        base = random_spd(rng, 2)
-        fam = PropagatorFamily.with_default_dilation(base, fiducial_scale=1.7)
-        np.testing.assert_allclose(
-            propagator_at(fam, 1.7).matrix, base.matrix, atol=1e-13
-        )
-
     def test_rejects_indefinite_base(self):
         with pytest.raises(NotPositiveDefinite):
             PropagatorFamily.with_default_dilation(
                 Sym2Tensor([[2.0, 3.0], [3.0, 2.0]])
             )
-
-    def test_rejects_nonpositive_scale(self):
-        fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
-        with pytest.raises(NonPositiveScale):
-            propagator_at(fam, -1.0)
 
 
 class TestRenormStep:

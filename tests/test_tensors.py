@@ -12,7 +12,6 @@ from oscrenorm import (
     act_sym,
     cholesky,
     contract,
-    invert_form,
     is_positive_definite,
     quad_form,
 )
@@ -58,39 +57,6 @@ class TestQuadForm:
         C = random_spd(rng, 3)
         k = rng.normal(size=3)
         assert quad_form(k, C) == pytest.approx(float(contract(C, k) @ k))
-
-
-class TestInvertForm:
-    def test_scalar(self):
-        np.testing.assert_allclose(invert_form(Sym2Tensor([[2.0]])).matrix, [[0.5]])
-
-    def test_identity(self):
-        np.testing.assert_allclose(
-            invert_form(Sym2Tensor.identity(3)).matrix, np.eye(3)
-        )
-
-    def test_2d(self):
-        C = Sym2Tensor([[1.0, 2.0], [2.0, 5.0]])
-        np.testing.assert_allclose(
-            invert_form(C).matrix, [[5.0, -2.0], [-2.0, 1.0]], atol=1e-12
-        )
-
-    def test_composition_is_identity(self, rng):
-        C = random_spd(rng, 4)
-        cond = np.linalg.cond(C.matrix)
-        np.testing.assert_allclose(
-            C.matrix @ invert_form(C).matrix, np.eye(4), atol=1e-12 * cond
-        )
-
-    def test_involution(self, rng):
-        C = random_spd(rng, 3)
-        np.testing.assert_allclose(
-            invert_form(invert_form(C)).matrix, C.matrix, rtol=1e-10
-        )
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularTensor):
-            invert_form(Sym2Tensor([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestActSym:

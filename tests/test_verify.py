@@ -33,6 +33,13 @@ def test_all_runs_each_registered_check_once_in_order():
     assert SUITES == (*CHECKS, "all")
 
 
+@pytest.mark.parametrize("suite", ["gaussian", "convolution"])
+@pytest.mark.parametrize("seed", [*range(20), 9001])
+def test_quadrature_suites_pass_across_seeds(suite, seed):
+    failed = [r.line() for r in run_suite(suite, seed) if not r.passed]
+    assert failed == []
+
+
 def test_nan_error_fails_the_check(monkeypatch, capsys):
     # Only the 1-D samples are NaN; a reduction that skips them would pass
     # on the finite 2-D and 3-D samples.
