@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     DimensionMismatch,
@@ -81,7 +82,7 @@ def _exp_integrable(exponents: np.ndarray, coeffs: np.ndarray) -> bool:
         return False
     leading = degrees == degree
     dim = exponents.shape[1]
-    u = np.random.default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
+    u = default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return bool(np.all(_poly_values(u, exponents[leading], coeffs[leading]) < 0.0))
 

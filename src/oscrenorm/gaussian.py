@@ -10,12 +10,13 @@ weighted sum over its nodes is reduced by ``_weighted_sums``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
     DimensionMismatch,
@@ -74,11 +75,33 @@ class GaussianMeasure:
     def log_density(self, points) -> np.ndarray:
         """log N[C] at each row of an (m, n) block of points."""
         X = as_block(points, self.dim)
-        solved = cho_solve((self._chol, True), X.T).T
-        return self._log_norm - 0.5 * np.sum(X * solved, axis=1)
+        # x C^{-1} x = |L^{-1} x|^2, with L^{-1} x by forward substitution:
+        # each row is solved on its own, whatever block it came in.
+        L = self._chol
+        z = np.empty_like(X)
+        for j in range(self.dim):
+            z[:, j] = (X[:, j] - np.sum(z[:, :j] * L[j, :j], axis=1)) / L[j, j]
+        return self._log_norm - 0.5 * np.sum(z * z, axis=1)
 
     def log_eval(self, x) -> float:
         return float(self.log_density(as_vector(x, self.dim)[None, :])[0])
+
+
+@functools.cache
+def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 1-D Gauss-Hermite nodes and weights of order q, the weights
+    normalized to sum to 1; built once per order.  An unsupported order
+    raises, so it is never cached, and at most orders 1-370 are kept."""
+    t, w = hermgauss(q)
+    # numpy's weights underflow to 0 at q = 371 and are NaN beyond.
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise UnsupportedOrder(
+            f"Gauss-Hermite weights at order {q} are not all finite and positive"
+        )
+    w = w / math.sqrt(math.pi)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -105,13 +128,7 @@ class QuadratureRule:
             raise NotPositiveDefinite("quadrature weight covariance must be PD")
         n = C.dim
         q = int(order) if order is not None else default_order(n)
-        t, w = np.polynomial.hermite.hermgauss(q)
-        # numpy's weights underflow to 0 at q = 371 and are NaN beyond.
-        if not np.all(np.isfinite(w) & (w > 0.0)):
-            raise UnsupportedOrder(
-                f"Gauss-Hermite weights at order {q} are not all finite and positive"
-            )
-        w = w / math.sqrt(math.pi)
+        t, w = _hermite(q)
         L = cholesky(C)
         # Lexicographic tensor product fixes the reduction order.
         grids = np.array(list(itertools.product(t, repeat=n)))

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DivergentIntegral,
@@ -89,7 +88,16 @@ class DilationFamily:
         c = float(c)
         if c <= 0.0:
             raise NonPositiveScale(f"dilation parameter must be positive, got {c}")
-        return GlElement(expm(math.log(c) * self.generator))
+        a = math.log(c) * self.generator
+        if np.array_equal(a, np.diag(np.diag(a))):
+            # The default generator's case: scipy's expm itself returns
+            # exactly this for a diagonal input.
+            return GlElement(np.diag(np.exp(np.diag(a))))
+        # Local import: scipy.linalg is slow to import and only a
+        # non-diagonal generator needs it.
+        from scipy.linalg import expm
+
+        return GlElement(expm(a))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from oscrenorm import (
     osc_mul,
     sigma_act,
 )
+from oscrenorm.gaussian import _hermite
 from conftest import random_gl_pos
 
 
@@ -136,12 +137,24 @@ class TestQuadratureRule:
         rule = QuadratureRule.for_covariance(Sym2Tensor.identity(1), order=370)
         assert np.all(rule.weights > 0.0)
 
+    def test_hermite_rule_built_once_per_order(self):
+        t, w = _hermite(17)
+        again = _hermite(17)
+        assert again[0] is t and again[1] is w
+        assert not t.flags.writeable and not w.flags.writeable
+        t0, w0 = np.polynomial.hermite.hermgauss(17)
+        assert np.array_equal(t, t0)
+        assert np.array_equal(w, w0 / math.sqrt(math.pi))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("order", [371, 372, 400])
     def test_order_without_positive_weights(self, order):
-        # numpy's weights are 0 at q = 371 and NaN from q = 372.
+        # numpy's weights are 0 at q = 371 and NaN from q = 372. A rejected
+        # order is not cached, so the cache holds supported orders only.
+        cached = _hermite.cache_info().currsize
         with pytest.raises(UnsupportedOrder):
             QuadratureRule.for_covariance(Sym2Tensor.identity(1), order=order)
+        assert _hermite.cache_info().currsize == cached
 
 
 class TestSigmaAction:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from oscrenorm import (
     GaussianMeasure,
@@ -50,6 +51,23 @@ class TestEvaluation:
                 - 0.5 * float(x @ inv @ x)
             )
             assert g.log_eval(x) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    def test_log_density_matches_cho_solve(self, rng, n, cond):
+        # Reference: the same log-normalizer, with x C^{-1} x by scipy's
+        # cho_solve on the Cholesky factor.
+        for _ in range(10):
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            C = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
+            C = 0.5 * (C + C.T)
+            L = np.linalg.cholesky(C)
+            X = rng.normal(size=(8, n))
+            log_det = 2.0 * np.sum(np.log(np.diag(L)))
+            log_norm = -0.5 * (n * math.log(2.0 * math.pi) + log_det)
+            want = log_norm - 0.5 * np.sum(X * cho_solve((L, True), X.T).T, axis=1)
+            got = GaussianMeasure(Sym2Tensor(C)).log_density(X)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(NotPositiveDefinite):

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import oscrenorm
 from oscrenorm import (
@@ -28,7 +29,7 @@ from oscrenorm import (
 )
 from oscrenorm.oscgroup import sd_mul, ur
 from oscrenorm.renorm import project_polynomial
-from conftest import random_gl_pos, random_spd
+from conftest import random_gl_pos, random_spd, write_config
 
 
 def quadratic_interaction(a, dim=1):
@@ -65,6 +66,18 @@ class TestDilationFamily:
         np.testing.assert_allclose(
             lhs.matrix, fam.transform(6.0).matrix, rtol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_transform_is_scipy_expm_bit_for_bit(self, n):
+        generators = [-0.5 * np.eye(n), np.diag(np.linspace(-0.9, 0.4, n))]
+        if n > 1:
+            rng = np.random.default_rng(n)
+            generators.append(-0.5 * np.eye(n) + 0.1 * rng.normal(size=(n, n)))
+        for a in generators:
+            fam = DilationFamily(a)
+            for c in (1.0, 1.5, 2.0, 4.0, 10.0):
+                want = expm(math.log(c) * fam.generator)
+                assert np.array_equal(fam.transform(c).matrix, want)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(NonPositiveScale):
@@ -133,20 +146,40 @@ class TestHeatKernel:
         C2 = heat_kernel_base(3, shifted, 1.0)
         np.testing.assert_allclose(C1.matrix, C2.matrix, rtol=1e-10)
 
-    def test_scipy_integrate_loaded_only_for_heat_kernel(self):
-        # A fresh process: importing the CLI must not load scipy.integrate,
-        # and heat_kernel_base must still load it and give the same matrix.
+    def test_scipy_integrate_loaded_only_for_heat_kernel(self, tmp_path):
+        # A fresh process: importing the CLI loads no scipy module, and a 2-D
+        # flow with the default generator and the whole verify suite load no
+        # module at all, so no import cost lands in the run. heat_kernel_base
+        # must still load scipy.integrate and give the same matrix.
+        config = write_config(
+            tmp_path,
+            dimension=2,
+            propagator={"base": [[1.0, 0.3], [0.3, 0.8]]},
+            interaction={"terms": [
+                {"exponents": [4, 0], "coeff": -0.1},
+                {"exponents": [0, 4], "coeff": -0.08},
+            ]},
+            sample_points=[[0.3, -0.4]],
+            quadrature_order=6,
+            semigroup_check_c=4.0,
+        )
         code = (
-            "import json, sys\n"
-            "import oscrenorm, oscrenorm.cli\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
+            "import io, json, sys\n"
+            "import oscrenorm, oscrenorm.cli as cli\n"
+            "before = set(sys.modules)\n"
+            "assert not [m for m in before if m.startswith('scipy')]\n"
+            "config = cli.load_config(sys.argv[1])\n"
+            "assert cli.cmd_flow(config, 0, sys.argv[2]) == 0\n"
+            "assert cli.cmd_verify('all', 0, stream=io.StringIO()) == 0\n"
+            "new = sorted(set(sys.modules) - before)\n"
+            "assert not new, new\n"
             "from oscrenorm import heat_kernel_base\n"
             "C = heat_kernel_base(3, [[0, 0, 0], [1, 0, 0]], 1.0)\n"
             "print(json.dumps(C.matrix.tolist()))\n"
         )
         src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, config, str(tmp_path / "flow.json")],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=120,
         )
