@@ -116,8 +116,15 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         base = Sym2Tensor(prop_spec["base"])
     elif "heat_kernel" in prop_spec:
         hk = prop_spec["heat_kernel"]
+        # heat_kernel_base rejects spatial_dim < 1 and a negative or
+        # non-finite mass; strings and booleans are rejected here.
+        mass = hk.get("mass", 0.0)
+        _require(
+            type(mass) in (int, float),
+            f"mass must be a number, not {json.dumps(mass)}",
+        )
         base = heat_kernel_base(
-            hk["spatial_dim"], hk["sites"], fiducial, hk.get("mass", 0.0)
+            _int(hk["spatial_dim"], "spatial_dim"), hk["sites"], fiducial, mass
         )
     else:
         raise ConfigError("propagator needs either 'base' or 'heat_kernel'")

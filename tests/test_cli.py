@@ -27,6 +27,22 @@ def config_4d():
     }
 
 
+def heat_kernel_config(tmp_path, heat_kernel):
+    """A 2-D wtilde config on a heat-kernel propagator with the given spec."""
+    return write_config(
+        tmp_path,
+        dimension=2,
+        propagator={"heat_kernel": heat_kernel},
+        interaction={"terms": [
+            {"exponents": [4, 0], "coeff": -0.1},
+            {"exponents": [0, 4], "coeff": -0.1},
+            {"exponents": [1, 1], "coeff": 0.05},
+        ]},
+        sample_points=[[0.0, 0.0], [0.5, -0.3]],
+        quadrature_order=8,
+    )
+
+
 class TestLoadConfig:
     def test_valid(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -231,20 +247,9 @@ class TestWtildeCommand:
         assert body.startswith("x0,wtilde,w\n")
 
     def test_heat_kernel_propagator(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            dimension=2,
-            propagator={"heat_kernel": {
-                "spatial_dim": 3, "sites": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-            }},
-            interaction={"terms": [
-                {"exponents": [4, 0], "coeff": -0.1},
-                {"exponents": [0, 4], "coeff": -0.1},
-                {"exponents": [1, 1], "coeff": 0.05},
-            ]},
-            sample_points=[[0.0, 0.0], [0.5, -0.3]],
-            quadrature_order=8,
-        )
+        cfg = heat_kernel_config(tmp_path, {
+            "spatial_dim": 3, "sites": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        })
         outputs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
@@ -253,6 +258,31 @@ class TestWtildeCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"x0,x1,wtilde,w\n")
         assert len(outputs[0].splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # Neither truncated nor parsed from a string.
+            {"spatial_dim": 3.7},
+            {"spatial_dim": "3"},
+            {"spatial_dim": 0},
+            {"spatial_dim": -2},
+            # Neither broadcast against the other sites nor cut to spatial_dim.
+            {"sites": [[0.0], [1.0, 0.0, 0.0]]},
+            {"spatial_dim": 2},
+            {"mass": "0.1"},
+            {"mass": True},
+        ],
+        ids=repr,
+    )
+    def test_malformed_heat_kernel_is_config_error(self, tmp_path, capsys, overrides):
+        spec = {"spatial_dim": 3, "mass": 0.1,
+                "sites": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}
+        cfg = heat_kernel_config(tmp_path, {**spec, **overrides})
+        out = tmp_path / "table.csv"
+        assert main(["wtilde", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_quadratic_value(self, tmp_path, capsys):
         import math

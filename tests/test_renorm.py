@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy.linalg import expm
 import oscrenorm
 from oscrenorm import (
     DilationFamily,
+    DimensionMismatch,
     DivergentIntegral,
     FieldFunction,
     GlElement,
@@ -28,8 +31,49 @@ from oscrenorm import (
     wtilde,
 )
 from oscrenorm.oscgroup import sd_mul, ur
-from oscrenorm.renorm import project_polynomial
+from oscrenorm.renorm import _heat_kernel_integrals, project_polynomial
 from conftest import random_gl_pos, random_spd, write_config
+
+
+# The heat-kernel accuracy box: every L0, mass and distance is combined.
+BOX_L0 = (1e-3, 0.1, 1.0, 10.0, 1e3)
+BOX_MASS = (1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0)
+BOX_R = (0.0, 0.3, 1.0, 2.0, 5.0, 10.0)
+
+
+def closed_form_1d(r, L0, m):
+    """The 1-D heat-kernel integral in closed form, and the sum of the
+    magnitudes of its terms (the scale of its own rounding)."""
+    s = math.sqrt(L0)
+    a = r / (2.0 * s)
+    value = (
+        math.exp(-m * r) * math.erfc(m * s - a)
+        + math.exp(m * r) * math.erfc(m * s + a)
+    ) / (4.0 * m)
+    return value, value
+
+
+def closed_form_3d(r, L0, m):
+    """The 3-D integral by perfbench/reference.py's erfc form, and the sum of
+    the magnitudes of the two terms it subtracts. At m = 3, L0 = 10,
+    r = 0.3 that sum is 200 times the value, 6e-44."""
+    s = math.sqrt(L0)
+    if r == 0.0:
+        scale = (4.0 * math.pi) ** -1.5
+        t1 = 2.0 * math.exp(-m * m * L0) / s * scale
+        t2 = 2.0 * m * math.sqrt(math.pi) * math.erfc(m * s) * scale
+    else:
+        a = r / (2.0 * s)
+        t1 = math.exp(-m * r) * math.erfc(m * s - a) / (8.0 * math.pi * r)
+        t2 = math.exp(m * r) * math.erfc(m * s + a) / (8.0 * math.pi * r)
+    return t1 - t2, t1 + t2
+
+
+def box_entry(d, r, L0, m):
+    """One heat-kernel entry at distance r. It is taken from the integrator,
+    because a matrix on two sites can fail the positive-definiteness test
+    (at d = 1, L0 = 1e3, m = 1e-9, r = 0.3 its eigenvalues differ 1e12-fold)."""
+    return _heat_kernel_integrals(d, np.array([r * r]), L0, m)[0]
 
 
 def quadratic_interaction(a, dim=1):
@@ -146,11 +190,12 @@ class TestHeatKernel:
         C2 = heat_kernel_base(3, shifted, 1.0)
         np.testing.assert_allclose(C1.matrix, C2.matrix, rtol=1e-10)
 
-    def test_scipy_integrate_loaded_only_for_heat_kernel(self, tmp_path):
+    def test_runs_load_no_scipy(self, tmp_path):
         # A fresh process: importing the CLI loads no scipy module, and a 2-D
         # flow with the default generator and the whole verify suite load no
-        # module at all, so no import cost lands in the run. heat_kernel_base
-        # must still load scipy.integrate and give the same matrix.
+        # module at all, so no import cost lands in the run. A heat-kernel
+        # wtilde run loads no scipy module either, and its propagator is the
+        # closed form.
         config = write_config(
             tmp_path,
             dimension=2,
@@ -163,6 +208,22 @@ class TestHeatKernel:
             quadrature_order=6,
             semigroup_check_c=4.0,
         )
+        sites = [[0, 0, 0], [1, 0, 0], [0, 2, 0]]
+        hk_config = write_config(
+            tmp_path,
+            name="hk.json",
+            dimension=3,
+            propagator={"heat_kernel": {
+                "spatial_dim": 3, "mass": 0.1, "sites": sites,
+            }},
+            interaction={"terms": [
+                {"exponents": [4, 0, 0], "coeff": -0.1},
+                {"exponents": [0, 4, 0], "coeff": -0.1},
+                {"exponents": [0, 0, 4], "coeff": -0.1},
+            ]},
+            sample_points=[[0.3, -0.4, 0.1]],
+            quadrature_order=6,
+        )
         code = (
             "import io, json, sys\n"
             "import oscrenorm, oscrenorm.cli as cli\n"
@@ -173,19 +234,94 @@ class TestHeatKernel:
             "assert cli.cmd_verify('all', 0, stream=io.StringIO()) == 0\n"
             "new = sorted(set(sys.modules) - before)\n"
             "assert not new, new\n"
-            "from oscrenorm import heat_kernel_base\n"
-            "C = heat_kernel_base(3, [[0, 0, 0], [1, 0, 0]], 1.0)\n"
-            "print(json.dumps(C.matrix.tolist()))\n"
+            "hk = cli.load_config(sys.argv[3])\n"
+            "assert cli.cmd_wtilde(hk, sys.argv[4]) == 0\n"
+            "scipy = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not scipy, scipy\n"
+            "print(json.dumps(hk.family.base.matrix.tolist()))\n"
         )
         src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", code, config, str(tmp_path / "flow.json")],
+            [sys.executable, "-c", code, config, str(tmp_path / "flow.json"),
+             hk_config, str(tmp_path / "wtilde.csv")],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        expected = heat_kernel_base(3, [[0, 0, 0], [1, 0, 0]], 1.0).matrix
-        assert json.loads(proc.stdout) == expected.tolist()
+        pts = np.array(sites, dtype=float)
+        r = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        expected = [[closed_form_3d(x, 1.0, 0.1)[0] for x in row] for row in r]
+        np.testing.assert_allclose(
+            json.loads(proc.stdout), expected, rtol=1e-15, atol=0.0
+        )
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_closed_form_on_box(self, d):
+        closed_form = closed_form_1d if d == 1 else closed_form_3d
+        for L0, m, r in itertools.product(BOX_L0, BOX_MASS, BOX_R):
+            want, scale = closed_form(r, L0, m)
+            if want < 1e-200:
+                continue
+            got = box_entry(d, r, L0, m)
+            assert abs(got - want) <= 1e-12 * scale, (L0, m, r, got, want)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_matches_quad_on_box(self, d):
+        from scipy.integrate import IntegrationWarning, quad
+
+        for L0, m, r in itertools.product(BOX_L0, BOX_MASS, BOX_R):
+            def integrand(l):
+                return (4.0 * math.pi * l) ** (-d / 2) * math.exp(
+                    -m * m * l - r * r / (4.0 * l)
+                )
+
+            # One quad call over [L0, inf) can miss the far tail at small
+            # mass by 3e-11 without a warning; decade pieces do not.
+            edges = [L0 * 10.0**k for k in range(0, 25, 2)] + [math.inf]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = math.fsum(
+                    quad(integrand, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                    for a, b in zip(edges, edges[1:])
+                )
+            if want < 1e-200 or any(
+                issubclass(w.category, IntegrationWarning) for w in caught
+            ):
+                continue
+            got = box_entry(d, r, L0, m)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (L0, m, r)
+
+    def test_small_mass_1d(self):
+        # quad returned a matrix that failed the positive-definiteness test.
+        C = heat_kernel_base(1, [[0.0], [1.0]], 1.0, mass=1e-3)
+        want = [[closed_form_1d(abs(i - j), 1.0, 1e-3)[0] for j in range(2)]
+                for i in range(2)]
+        np.testing.assert_allclose(C.matrix, want, rtol=1e-12, atol=0.0)
+
+    def test_vanishing_mass_squared_diverges(self):
+        # m^2 underflows to 0, so the 1-D integral diverges.
+        with pytest.raises(DivergentIntegral):
+            heat_kernel_base(1, [[0.0]], 1.0, mass=1e-170)
+
+    def test_unconverged_rule_raises(self):
+        # m^2 = 1e-200 is representable, but the integrand peaks near
+        # l = 1e200, far past what the finest step resolves.
+        with pytest.raises(DivergentIntegral, match=r"spatial_dim = 1, mass = 1e-100, L0 = 1\.0"):
+            heat_kernel_base(1, [[0.0]], 1.0, mass=1e-100)
+
+    @pytest.mark.parametrize(
+        "spatial_dim, sites, error",
+        [
+            (0, [[0.0]], ValueError),
+            (3.7, [[0.0, 0.0, 0.0]], TypeError),
+            (2, [[0.0, 0.0, 0.0]], DimensionMismatch),
+            (3, [[0.0], [1.0, 0.0, 0.0]], ValueError),
+            (3, [], ValueError),
+        ],
+    )
+    def test_rejects_malformed_sites(self, spatial_dim, sites, error):
+        with pytest.raises(error):
+            heat_kernel_base(spatial_dim, sites, 1.0, mass=0.1)
 
 
 class TestWtilde:
