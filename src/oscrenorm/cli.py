@@ -44,6 +44,10 @@ MAX_ORDER = 370
 #: Cap on the tensor-product node count, order ** dimension.
 MAX_NODES = 2**20
 
+#: Highest exponent of an interaction term: the highest-order rule is exact
+#: up to this degree. It also bounds the multiplications that build a power.
+MAX_EXPONENT = 2 * MAX_ORDER - 1
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,13 +76,30 @@ def _int(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """``value`` as a float if it is a JSON number. Strings are rejected
+    rather than parsed, and so are ``true`` and ``false``."""
+    _require(
+        type(value) in (int, float), f"{key} must be a number, not {json.dumps(value)}"
+    )
+    return float(value)
+
+
+def _numbers(value, key: str):
+    """``value`` with every entry of its nested lists read by ``_number``."""
+    if isinstance(value, list):
+        return [_numbers(v, key) for v in value]
+    return _number(value, key)
+
+
 def _grid_points(spec: dict, dim: int):
     _require(
         {"lo", "hi", "count"} <= set(spec), "grid needs 'lo', 'hi' and 'count'"
     )
     _require(dim == 1, "grid shorthand is only available in dimension 1")
     count = _int(spec["count"], "grid count")
-    return [[x] for x in np.linspace(spec["lo"], spec["hi"], count)]
+    lo, hi = _number(spec["lo"], "grid lo"), _number(spec["hi"], "grid hi")
+    return [[x] for x in np.linspace(lo, hi, count)]
 
 
 def load_config(path: str, order_override: int | None = None) -> RunConfig:
@@ -110,21 +131,19 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
 
     prop_spec = raw.get("propagator")
     _require(isinstance(prop_spec, dict), "propagator spec is required")
-    fiducial = float(raw.get("fiducial_scale", 1.0))
+    fiducial = _number(raw.get("fiducial_scale", 1.0), "fiducial_scale")
     _require(0.0 < fiducial < math.inf, "fiducial_scale must be positive and finite")
     if "base" in prop_spec:
-        base = Sym2Tensor(prop_spec["base"])
+        base = Sym2Tensor(_numbers(prop_spec["base"], "base"))
     elif "heat_kernel" in prop_spec:
         hk = prop_spec["heat_kernel"]
         # heat_kernel_base rejects spatial_dim < 1 and a negative or
-        # non-finite mass; strings and booleans are rejected here.
-        mass = hk.get("mass", 0.0)
-        _require(
-            type(mass) in (int, float),
-            f"mass must be a number, not {json.dumps(mass)}",
-        )
+        # non-finite mass.
         base = heat_kernel_base(
-            _int(hk["spatial_dim"], "spatial_dim"), hk["sites"], fiducial, mass
+            _int(hk["spatial_dim"], "spatial_dim"),
+            _numbers(hk["sites"], "sites"),
+            fiducial,
+            _number(hk.get("mass", 0.0), "mass"),
         )
     else:
         raise ConfigError("propagator needs either 'base' or 'heat_kernel'")
@@ -134,7 +153,9 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
     )
 
     if "dilation_generator" in raw:
-        dilation = DilationFamily(raw["dilation_generator"])
+        dilation = DilationFamily(
+            _numbers(raw["dilation_generator"], "dilation_generator")
+        )
         _require(dilation.dim == dim, "dilation generator has wrong dimension")
     else:
         dilation = DilationFamily.default(dim)
@@ -145,7 +166,15 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         isinstance(inter_spec, dict) and "terms" in inter_spec,
         "interaction must carry a 'terms' table",
     )
-    interaction = FieldFunction.polynomial_from_json(inter_spec, dim)
+    terms = [
+        ([_int(v, "exponents") for v in t["exponents"]], _number(t["coeff"], "coeff"))
+        for t in inter_spec["terms"]
+    ]
+    _require(
+        all(0 <= v <= MAX_EXPONENT for exponents, _ in terms for v in exponents),
+        f"exponents must be in 0..{MAX_EXPONENT}",
+    )
+    interaction = FieldFunction.polynomial(terms, dim)
     _require(
         interaction.integrable,
         "interaction is not integrable: it needs even maximal degree with a "
@@ -157,7 +186,7 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         isinstance(ladder, list) and len(ladder) >= 1,
         "scale_ladder must be a non-empty list",
     )
-    ladder = tuple(float(c) for c in ladder)
+    ladder = tuple(_number(c, "scale_ladder") for c in ladder)
     _require(all(c >= 1.0 for c in ladder), "scale_ladder values must be >= 1")
     _require(all(c < math.inf for c in ladder), "scale_ladder values must be finite")
     _require(list(ladder) == sorted(ladder), "scale_ladder must be sorted")
@@ -168,7 +197,7 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         points = _grid_points(pts_spec["grid"], dim)
     else:
         _require(isinstance(pts_spec, list), "sample_points must be a list or grid")
-        points = pts_spec
+        points = _numbers(pts_spec, "sample_points")
     points = tuple(tuple(float(v) for v in p) for p in points)
     _require(len(points) >= 1, "sample_points must hold at least one point")
     _require(
@@ -196,7 +225,7 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
 
     check_c = raw.get("semigroup_check_c")
     if check_c is not None:
-        check_c = float(check_c)
+        check_c = _number(check_c, "semigroup_check_c")
         _require(
             1.0 < check_c < math.inf, "semigroup_check_c must be finite and exceed 1"
         )

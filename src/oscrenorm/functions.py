@@ -22,6 +22,7 @@ so that integrals are preserved under the change of variables.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,24 @@ _LEADING_FORM_SAMPLES = 100
 
 def monomials(X: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """(m, k) values of the monomials x^e, e the rows of ``exponents``, at the
-    rows of X; built one coordinate at a time, with no (m, k, n) temporary."""
-    out = X[:, :1] ** exponents[:, 0]
-    for j in range(1, X.shape[1]):
-        out *= X[:, j:j + 1] ** exponents[:, j]
+    rows of X; built one coordinate at a time, with no (m, k, n) temporary.
+
+    Powers come from repeated multiplication, x^d = x^(d-1) * x, and each
+    term takes its power when the running power reaches its exponent, so
+    the extra memory is O(m) whatever the degree. numpy's ``pow`` is not
+    used: with an array exponent it sends negative bases to a scalar path
+    about 10 times slower than its SIMD path for positive ones, and the two
+    paths differ in the last bit. By multiplication, x^e at -x is
+    (-1)^|e| x^e bit for bit.
+    """
+    out = np.ones((len(X), len(exponents)))
+    for x, e in zip(X.T, exponents.T):
+        power = np.ones(len(X))
+        for d in range(1, e.max(initial=0) + 1):
+            power = power * x
+            terms = e == d
+            if terms.any():
+                out[:, terms] *= power[:, None]
     return out
 
 
@@ -116,7 +131,7 @@ class FieldFunction:
         """
         clean = []
         for exponents, coeff in terms:
-            e = tuple(int(v) for v in exponents)
+            e = tuple(operator.index(v) for v in exponents)
             if len(e) != dim or any(v < 0 for v in e):
                 raise DimensionMismatch(f"bad exponent tuple {e} for dimension {dim}")
             c = float(coeff)
@@ -162,11 +177,6 @@ class FieldFunction:
             terms=poly.terms,
             integrable=True,
         )
-
-    @classmethod
-    def polynomial_from_json(cls, data: dict, dim: int) -> "FieldFunction":
-        terms = [(t["exponents"], t["coeff"]) for t in data["terms"]]
-        return cls.polynomial(terms, dim)
 
 
 def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:

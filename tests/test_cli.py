@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import oscrenorm
-from oscrenorm import QuadratureRule, cli
+from oscrenorm import FieldFunction, QuadratureRule, cli
 from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
 from conftest import write_config
@@ -50,6 +50,11 @@ class TestLoadConfig:
         assert config.scale_ladder == (1.0, 2.0, 4.0)
         assert len(config.sample_points) == 5
         assert config.interaction.integrable
+
+    def test_interaction_terms_round_trip(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        expected = FieldFunction.polynomial([((4,), -0.1), ((2,), -0.2)], dim=1)
+        assert config.interaction.terms == expected.terms
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -207,6 +212,55 @@ class TestFlowCommand:
         out = tmp_path / "flow.json"
         assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            # Numbers are neither parsed from strings nor read from booleans.
+            ({"fiducial_scale": "2"}, "fiducial_scale"),
+            ({"fiducial_scale": True}, "fiducial_scale"),
+            ({"scale_ladder": ["1", 2.0]}, "scale_ladder"),
+            ({"scale_ladder": [1.0, True]}, "scale_ladder"),
+            ({"sample_points": [["0.5"]]}, "sample_points"),
+            ({"sample_points": [[True]]}, "sample_points"),
+            ({"sample_points": {"grid": {"lo": "-1", "hi": 1.0, "count": 5}}},
+             "grid lo"),
+            ({"sample_points": {"grid": {"lo": -1.0, "hi": True, "count": 5}}},
+             "grid hi"),
+            ({"semigroup_check_c": "4"}, "semigroup_check_c"),
+            ({"propagator": {"base": [["1.5"]]}}, "base"),
+            ({"propagator": {"base": [[True]]}}, "base"),
+            ({"propagator": {"heat_kernel": {
+                "spatial_dim": 1, "sites": [["0"]], "mass": 1.0}}}, "sites"),
+            ({"dilation_generator": [["-0.5"]]}, "dilation_generator"),
+            ({"interaction": {"terms": [{"exponents": [4], "coeff": "-0.1"}]}},
+             "coeff"),
+            ({"interaction": {"terms": [{"exponents": [4], "coeff": -0.1},
+                                        {"exponents": [2], "coeff": False}]}},
+             "coeff"),
+            # Exponents are neither truncated nor parsed.
+            ({"interaction": {"terms": [{"exponents": [4.7], "coeff": -0.1}]}},
+             "exponents"),
+            ({"interaction": {"terms": [{"exponents": ["4"], "coeff": -0.1}]}},
+             "exponents"),
+            ({"interaction": {"terms": [{"exponents": [4], "coeff": -0.1},
+                                        {"exponents": [True], "coeff": 0.2}]}},
+             "exponents"),
+            # A power takes one multiplication per degree, so degrees are capped.
+            ({"interaction": {"terms": [{"exponents": [740], "coeff": -0.1}]}},
+             "exponents"),
+            ({"interaction": {"terms": [{"exponents": [4], "coeff": -0.1},
+                                        {"exponents": [-1], "coeff": 0.2}]}},
+             "exponents"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
         assert not out.exists()
 
     def test_order_above_max_is_config_error(self, tmp_path, capsys):

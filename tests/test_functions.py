@@ -24,6 +24,7 @@ from oscrenorm import (
     osc_mul,
     sigma_act,
 )
+from oscrenorm.functions import monomials
 from oscrenorm.gaussian import _hermite
 from conftest import random_gl_pos
 
@@ -57,21 +58,55 @@ class TestFieldFunction:
         assert f([0.5]) == pytest.approx(math.exp(g.log_eval([0.5])))
         assert f.integrable
 
-    def test_terms_json_round_trip(self):
-        data = {
-            "terms": [
-                {"exponents": [4], "coeff": -2.0},
-                {"exponents": [2], "coeff": -3.0},
-            ]
-        }
-        back = FieldFunction.polynomial_from_json(data, dim=1)
-        assert back.terms == quartic_1d(2.0, 3.0).terms
+    def test_rejects_nonintegral_exponent(self):
+        # Truncating 4.7 to 4 would run a different interaction.
+        with pytest.raises(TypeError):
+            FieldFunction.polynomial([((4.7,), -1.0)], dim=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_coefficient(self, bad):
         # A non-finite lower-order term leaves the leading form negative.
         with pytest.raises(ValueError, match="must be finite"):
             FieldFunction.polynomial([((4,), -1.0), ((2,), bad)], dim=1)
+
+
+class TestMonomials:
+    @staticmethod
+    def table(rng, dim):
+        """Normal rows and a term table with exponents up to 8."""
+        return rng.normal(size=(200, dim)), rng.integers(0, 9, size=(12, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_parity(self, rng, dim):
+        X, E = self.table(rng, dim)
+        sign = (-1.0) ** E.sum(axis=1)
+        assert np.array_equal(monomials(-X, E), sign * monomials(X, E))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_exact_on_small_integers(self, rng, dim):
+        # |x|^e <= 3^32 < 2^53, so every value is an exact float.
+        X = rng.integers(-3, 4, size=(50, dim))
+        E = rng.integers(0, 9, size=(12, dim))
+        expected = [[math.prod(int(x) ** int(e) for x, e in zip(row, term))
+                     for term in E] for row in X]
+        assert np.array_equal(monomials(X.astype(float), E), expected)
+        assert monomials(np.array([[-3.0, 2.0]]), np.array([[5, 3]]))[0, 0] == -1944.0
+
+    def test_zero_to_the_zero_is_one(self):
+        E = np.array([[0, 0], [0, 3], [2, 0]])
+        assert np.array_equal(monomials(np.zeros((1, 2)), E), [[1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_empty_term_table(self, rng, dim):
+        X, _ = self.table(rng, dim)
+        assert monomials(X, np.zeros((0, dim), dtype=int)).shape == (len(X), 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_row_independent_of_block(self, rng, dim):
+        X, E = self.table(rng, dim)
+        block = monomials(X, E)
+        for i in range(len(X)):
+            assert np.array_equal(monomials(X[i:i + 1], E)[0], block[i])
 
 
 class TestIntegrabilityFlag:
