@@ -22,7 +22,6 @@ from .errors import (
 from .functions import (
     FieldFunction,
     QuadratureRule,
-    act_fun,
     compose,
     convolve_numeric,
     gauss_convolve_exp,

@@ -14,9 +14,6 @@ other rows of the block, so batching never changes a value.
 The group acts on the right:
 
     sigma(f, (M, k, v, c))(x) = exp(k(x) + c) * f(Mx + v)
-
-and GL(V) acts with a determinant prefactor, act_fun(M, f) = det(M) f o M,
-so that integrals are preserved under the change of variables.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from numpy.random import default_rng
 from .errors import (
     DimensionMismatch,
     NonPositiveConvolution,
-    NonPositiveDeterminant,
     NonPositiveValue,
     NotIntegrable,
     NotPositiveDefinite,
@@ -191,18 +187,6 @@ def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:
     # Gaussian-dominated decay survives the action: M is invertible and the
     # exponential-linear prefactor is subdominant.
     return FieldFunction(evaluator, f.dim, integrable=f.integrable)
-
-
-def act_fun(M: GlElement, f: FieldFunction) -> FieldFunction:
-    """GL(V) action det(M) f o M; restricted to det(M) > 0."""
-    if M.dim != f.dim:
-        raise DimensionMismatch(f"dimension mismatch: {M.dim} vs {f.dim}")
-    if M.det <= 0.0:
-        raise NonPositiveDeterminant(f"det(M) = {M.det:.6g} must be positive")
-    d, m = M.det, M.matrix
-    return FieldFunction(
-        lambda X: d * f.evaluator(_apply(m, X)), f.dim, integrable=f.integrable
-    )
 
 
 def compose(f: FieldFunction, M: GlElement) -> FieldFunction:

@@ -15,6 +15,12 @@ a = C symmetric and b(k) = kCk/2.  So each section is stored as its tensor
 C and evaluated by ``an_apply``.  Its image is a commutative subgroup;
 tensor addition is the pointwise (fibrewise) sum of sections, and ``act_sym``
 is the GL(V) action on them, conjugation by (M, 0, 0, 0) after k -> kM.
+
+Public construction of an ``OscElement`` validates every part.  ``osc_mul``,
+``osc_inv`` and ``an_apply`` compute their parts from validated ones, so
+they build the result with the private ``OscElement._from_parts``, which
+re-checks only that k, v and c are finite: an overflow to inf still raises
+the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -45,6 +51,19 @@ class OscElement:
             raise ValueError("vector entries must be finite")
         object.__setattr__(self, "c", c)
 
+    @classmethod
+    def _from_parts(cls, m: GlElement, k: np.ndarray, v: np.ndarray, c: float):
+        """Wrap float vectors ``k`` and ``v`` of length ``m.dim`` and a float
+        ``c``, computed from validated elements; only finiteness can fail."""
+        if not (np.isfinite((k, v)).all() and math.isfinite(c)):
+            raise ValueError("vector entries must be finite")
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "k", k)
+        object.__setattr__(out, "v", v)
+        object.__setattr__(out, "c", c)
+        return out
+
     @property
     def dim(self) -> int:
         return self.m.dim
@@ -58,7 +77,7 @@ def osc_mul(g: OscElement, h: OscElement) -> OscElement:
     """Group product g * h."""
     if g.dim != h.dim:
         raise DimensionMismatch(f"dimension mismatch: {g.dim} vs {h.dim}")
-    return OscElement(
+    return OscElement._from_parts(
         g.m @ h.m,
         h.m.matrix.T @ g.k + h.k,
         g.v + g.m.matrix @ h.v,
@@ -72,7 +91,7 @@ def osc_inv(g: OscElement) -> OscElement:
     j = -(minv.matrix.T @ g.k)
     u = -(minv.matrix @ g.v)
     a = -g.c - float(j @ g.v)
-    return OscElement(minv, j, u, a)
+    return OscElement._from_parts(minv, j, u, a)
 
 
 def to_matrix(g: OscElement) -> np.ndarray:
@@ -91,7 +110,7 @@ def to_matrix(g: OscElement) -> np.ndarray:
 def an_apply(C: Sym2Tensor, k) -> OscElement:
     """Value of the annihilation section An(C) at k: (id, k, Ck, kCk/2)."""
     kv = as_vector(k, C.dim)
-    return OscElement(
+    return OscElement._from_parts(
         GlElement.identity(C.dim), kv, C.matrix @ kv, 0.5 * float(kv @ C.matrix @ kv)
     )
 

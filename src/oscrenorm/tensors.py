@@ -10,6 +10,21 @@ Validation rule: public constructors validate fully (shape, dimension cap,
 finiteness, and symmetry or conditioning).  Entry-by-entry arithmetic on
 validated symmetric tensors (``+``, ``-``, unary ``-``, scalar ``*``) yields
 a bit-for-bit symmetric result, so it re-checks only finiteness.
+
+Products of validated transforms are certified without an SVD where the
+bounds allow.  Each ``GlElement`` stores a lower bound on its smallest
+singular value and an upper bound on its largest: public construction takes
+them from its SVD, widened by the SVD's own error (``_SVD_RTOL`` times the
+largest singular value).  For ``A @ B`` the rounded product C satisfies
+``sigma_min(C) >= sigma_min(A) sigma_min(B) - s`` and
+``sigma_max(C) <= sigma_max(A) sigma_max(B) + s``, where
+``s = n gamma_n sigma_max(A) sigma_max(B)`` bounds the rounding of the
+product, ``gamma_n = n eps / (1 - n eps)``, and a few more ulps cover the
+rounding of the bounds themselves.  When the lower bound exceeds
+``SINGULAR_RTOL + 2 _SVD_RTOL`` times the upper bound, an SVD of C could not
+reject it, so C re-checks only finiteness and keeps these bounds as its own.
+Otherwise C goes through the public constructor, which raises exactly what
+it always did.
 """
 
 from __future__ import annotations
@@ -32,6 +47,17 @@ SINGULAR_RTOL = 1e-12
 
 #: Relative eigenvalue floor for positive-definiteness.
 PD_RTOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
+
+#: Error assumed of each singular value ``np.linalg.svd`` returns for
+#: n <= MAX_DIM, relative to the largest one. LAPACK bounds it by
+#: p(n) eps sigma_max for a modestly growing p(n); 64 MAX_DIM is generous.
+_SVD_RTOL = 64 * MAX_DIM * _EPS
+
+#: Bound ratio above which the SVD of a product cannot reject it: the SVD
+#: moves the smallest singular value by at most _SVD_RTOL times the largest.
+_PRODUCT_RTOL = SINGULAR_RTOL + 2.0 * _SVD_RTOL
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -162,7 +188,9 @@ class GlElement:
 
     Rejected when the smallest singular value falls below
     ``SINGULAR_RTOL`` times the largest, so that downstream inverses carry
-    meaningful error bounds.
+    meaningful error bounds. ``_smin`` and ``_smax`` bound the smallest and
+    largest singular values of ``matrix``; they are not fields, so equality
+    and ``repr`` see only the matrix.
     """
 
     matrix: np.ndarray
@@ -178,6 +206,9 @@ class GlElement:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        smax = float(svals[0])
+        object.__setattr__(self, "_smin", float(svals[-1]) - _SVD_RTOL * smax)
+        object.__setattr__(self, "_smax", smax + _SVD_RTOL * smax)
 
     @property
     def dim(self) -> int:
@@ -198,8 +229,22 @@ class GlElement:
         return float(np.linalg.det(self.matrix))
 
     def __matmul__(self, other: "GlElement") -> "GlElement":
+        """The product, certified from its factors' singular-value bounds
+        where they allow (see the module docstring), else by the SVD."""
         _check_same_dim(self, other)
-        return GlElement(self.matrix @ other.matrix)
+        m = self.matrix @ other.matrix
+        n = self.dim
+        top = self._smax * other._smax
+        slack = (n * n * _EPS / (1.0 - n * _EPS) + 4.0 * _EPS) * top
+        lo, hi = self._smin * other._smin - slack, top + slack
+        if not (lo > _PRODUCT_RTOL * hi and np.isfinite(m).all()):
+            return GlElement(m)
+        m.setflags(write=False)
+        out = object.__new__(GlElement)
+        object.__setattr__(out, "matrix", m)
+        object.__setattr__(out, "_smin", lo)
+        object.__setattr__(out, "_smax", hi)
+        return out
 
 
 def _check_same_dim(a, b):

@@ -111,14 +111,11 @@ def random_osc(rng, n):
 
 
 def element_gap(a: og.OscElement, b: og.OscElement) -> float:
-    # Elements are finite by construction, so no gap is NaN and the
-    # builtin max loses nothing.
-    return max(
-        np.abs(a.m.matrix - b.m.matrix).max(),
-        np.abs(a.k - b.k).max(),
-        np.abs(a.v - b.v).max(),
-        abs(a.c - b.c),
-    )
+    """Largest absolute entry gap over the M, k, v and c parts; NaN if any
+    gap is NaN."""
+    return np.abs(np.concatenate((
+        (a.m.matrix - b.m.matrix).ravel(), a.k - b.k, a.v - b.v, [a.c - b.c],
+    ))).max()
 
 
 # ---------------------------------------------------------------------------

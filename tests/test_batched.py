@@ -21,7 +21,6 @@ from oscrenorm import (
     QuadratureOverflow,
     QuadratureRule,
     Sym2Tensor,
-    act_fun,
     as_vector,
     compose,
     gauss_convolve_exp,
@@ -37,7 +36,7 @@ from conftest import random_gl_pos, random_spd
 ORDERS = {1: 12, 2: 6, 3: 4, 4: 3}
 
 CASES = (
-    "polynomial", "exp_polynomial", "compose", "act_fun", "sigma_act",
+    "polynomial", "exp_polynomial", "compose", "sigma_act",
     "wtilde", "nested_renorm_step",
 )
 
@@ -66,7 +65,6 @@ def cases(n):
         "polynomial": I,
         "exp_polynomial": FieldFunction.exp_polynomial(I.terms, n),
         "compose": compose(I, random_gl_pos(rng, n)),
-        "act_fun": act_fun(random_gl_pos(rng, n), I),
         "sigma_act": sigma_act(I, g),
         "wtilde": wtilde(random_spd(rng, n, 0.3), I, order=q),
         "nested_renorm_step": renorm_step(

@@ -8,7 +8,6 @@ from oscrenorm import (
     FieldFunction,
     GaussianMeasure,
     GlElement,
-    NonPositiveDeterminant,
     NonPositiveValue,
     NotIntegrable,
     OscElement,
@@ -16,7 +15,6 @@ from oscrenorm import (
     QuadratureRule,
     Sym2Tensor,
     UnsupportedOrder,
-    act_fun,
     compose,
     convolve_numeric,
     gauss_convolve_exp,
@@ -229,22 +227,6 @@ class TestSigmaAction:
 
 
 class TestGlFunctionAction:
-    def test_det_prefactor(self):
-        f = FieldFunction.constant(1.0, 1)
-        assert act_fun(GlElement([[3.0]]), f)([0.0]) == pytest.approx(3.0)
-
-    def test_action_law(self, rng):
-        f = FieldFunction.polynomial([((2, 1), 1.0), ((0, 1), -2.0)], dim=2)
-        M1, M2 = random_gl_pos(rng, 2), random_gl_pos(rng, 2)
-        x = rng.normal(size=2)
-        lhs = act_fun(M2, act_fun(M1, f))(x)
-        rhs = act_fun(M1 @ M2, f)(x)
-        assert lhs == pytest.approx(rhs, rel=1e-11)
-
-    def test_rejects_orientation_reversal(self):
-        with pytest.raises(NonPositiveDeterminant):
-            act_fun(GlElement([[-2.0]]), quartic_1d())
-
     def test_compose_has_no_prefactor(self):
         f = FieldFunction.constant(1.0, 1)
         assert compose(f, GlElement([[3.0]]))([5.0]) == 1.0

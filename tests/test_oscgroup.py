@@ -121,6 +121,42 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite"):
             OscElement(GlElement.identity(1), [0.0], [0.0], c)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "g, h",
+        [
+            (elem1(1, 1e308, 0, 0), elem1(10, 0, 0, 0)),
+            (elem1(10, 0, 0, 0), elem1(1, 0, 1e308, 0)),
+            (elem1(1, 0, 0, 1e308), elem1(1, 0, 0, 1e308)),
+        ],
+        ids=["k", "v", "c"],
+    )
+    def test_osc_mul_rejects_overflow(self, g, h):
+        with pytest.raises(ValueError, match="must be finite"):
+            osc_mul(g, h)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_osc_inv_rejects_overflow(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            osc_inv(elem1(1e-300, 0, 1e10, 0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_apply_rejects_overflow(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            an_apply(Sym2Tensor([[1e308]]), [10.0])
+
+    def test_product_of_validated_elements_runs_no_svd(self, rng, monkeypatch):
+        g, h = random_osc(rng, 3), random_osc(rng, 3)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        gh = osc_mul(g, h)
+        assert calls == []
+        assert not gh.m.matrix.flags.writeable
+        public = OscElement(GlElement(gh.m.matrix), gh.k, gh.v, gh.c)
+        assert element_gap(gh, public) == 0.0
+
     @pytest.mark.parametrize("k", [[np.nan, 0.0], [0.0, np.inf]])
     def test_an_apply_rejects_nonfinite_source(self, k):
         with pytest.raises(ValueError, match="must be finite"):

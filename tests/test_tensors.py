@@ -277,3 +277,44 @@ class TestGlProductCheck:
         M = GlElement(np.diag([1e4, 1e-4]))
         with pytest.raises(SingularTensor):
             M.inverse @ M.inverse
+
+    def test_rejection_matches_public_construction(self):
+        # Each factor has condition 1e7; the product's 1e14 is refused by the
+        # SVD fallback, with the message public construction gives.
+        A = GlElement(np.diag([1.0, 1e-7]))
+        with pytest.raises(SingularTensor) as public:
+            GlElement(A.matrix @ A.matrix)
+        with pytest.raises(SingularTensor) as product:
+            A @ A
+        assert str(product.value) == str(public.value)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stored_bounds_bracket_singular_values(self, rng, monkeypatch, n):
+        # Diagonal factors make sigma_min(AB) = sigma_min(A) sigma_min(B)
+        # possible, where the product bound is tight.
+        svd, svd_calls = np.linalg.svd, []
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or svd(*a, **k)
+        )
+        certified = 0
+        for trial in range(40):
+            M = None
+            for _ in range(int(rng.integers(2, 7))):
+                scale = 10.0 ** rng.uniform(-3, 3)
+                if trial % 2:
+                    factor = GlElement(scale * np.diag(np.exp(rng.uniform(-2, 2, n))))
+                else:
+                    factor = GlElement(scale * random_gl(rng, n).matrix)
+                if M is None:
+                    M = factor
+                    continue
+                calls = len(svd_calls)
+                try:
+                    M = M @ factor
+                except SingularTensor:
+                    break
+                certified += len(svd_calls) == calls
+                svals = svd(M.matrix, compute_uv=False)
+                assert M._smin <= svals[-1]
+                assert M._smax >= svals[0]
+        assert certified > 0

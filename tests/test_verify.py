@@ -2,15 +2,21 @@
 scorecard, and the suite contract the CLI and profilers rely on."""
 
 import functools
+import io
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscrenorm
 from oscrenorm import oscgroup
-from oscrenorm.cli import main
-from oscrenorm.verify import CHECKS, SUITES, find_check, run_suite
+from oscrenorm.cli import cmd_verify, main
+from oscrenorm.verify import CHECKS, SUITES, element_gap, find_check, run_suite
 
 
 @functools.cache
@@ -59,3 +65,28 @@ def test_group_checks_and_gaussian_fixed_point_hold_up_to_4d(seed, n):
     for check in (*CHECKS["group"], find_check("gaussian-fixed-point")):
         result = check.run(rng, trials=3, dims=(n,))
         assert result.passed, result.line()
+
+
+def test_element_gap_propagates_nan():
+    # The builtin max drops a NaN that is not its first argument.
+    g = oscgroup.OscElement.identity(2)
+    h = types.SimpleNamespace(m=g.m, k=g.k, v=g.v, c=float("nan"))
+    assert np.isnan(element_gap(g, h))
+
+
+def test_verify_output_independent_of_warm_caches():
+    # The second in-process run finds GlElement.identity with its cached
+    # inverse, the Gauss-Hermite orders and the 1-D rules already built; a
+    # fresh process finds none of them. All three must print the same bytes.
+    outputs = []
+    for _ in range(2):
+        stream = io.StringIO()
+        assert cmd_verify("all", 0, stream) == 0
+        outputs.append(stream.getvalue().encode())
+    src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "oscrenorm.cli", "verify", "--suite", "all", "--seed", "0"],
+        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=300,
+        capture_output=True,
+    )
+    assert outputs[0] == outputs[1] == fresh.stdout
