@@ -33,7 +33,7 @@ from .renorm import (
     renorm_step,
     wtilde,
 )
-from .tensors import Sym2Tensor, contract, is_positive_definite, quad_form
+from .tensors import Sym2Tensor, contract, quad_form
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -58,9 +58,9 @@ class RunConfig:
     interaction: FieldFunction
     scale_ladder: tuple
     sample_points: tuple
-    quadrature_order: int | None = None
-    projection_degree: int = 4
-    semigroup_check_c: float | None = None
+    quadrature_order: int | None
+    projection_degree: int
+    semigroup_check_c: float | None
 
 
 def _require(cond: bool, message: str):
@@ -148,9 +148,6 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
     else:
         raise ConfigError("propagator needs either 'base' or 'heat_kernel'")
     _require(base.dim == dim, "propagator dimension does not match 'dimension'")
-    _require(
-        is_positive_definite(base), "propagator base must be positive definite"
-    )
 
     if "dilation_generator" in raw:
         dilation = DilationFamily(
@@ -159,7 +156,7 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         _require(dilation.dim == dim, "dilation generator has wrong dimension")
     else:
         dilation = DilationFamily.default(dim)
-    family = PropagatorFamily(base, dilation, fiducial)
+    family = PropagatorFamily(base, dilation)
 
     inter_spec = raw.get("interaction")
     _require(
@@ -242,12 +239,6 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
     )
 
 
-def _fmt(value: float) -> float:
-    """Round-trip through repr so output bytes do not depend on platform
-    float printing quirks."""
-    return float(repr(float(value)))
-
-
 def cmd_verify(suite: str, seed: int, stream=None) -> int:
     stream = stream or sys.stdout
     results = run_suite(suite, seed)
@@ -267,22 +258,17 @@ def _flow_record(config: RunConfig, points: np.ndarray, c: float) -> dict:
                          order=config.quadrature_order)
     values = flowed.values(points)
     samples = [
-        {"x": list(p), "value": _fmt(v)}
+        {"x": list(p), "value": float(v)}
         for p, v in zip(config.sample_points, values)
     ]
-    projected, residual = project_polynomial(
-        flowed, points, config.projection_degree, values=values
-    )
+    terms, residual = project_polynomial(points, values, config.projection_degree)
     projection = {
-        "terms": [
-            {"exponents": list(e), "coeff": _fmt(coeff)}
-            for e, coeff in projected.terms
-        ]
+        "terms": [{"exponents": list(e), "coeff": coeff} for e, coeff in terms]
     }
     return {
-        "c": _fmt(c),
+        "c": c,
         "interaction_projection": projection,
-        "residual": _fmt(residual),
+        "residual": residual,
         "samples": samples,
     }
 
@@ -310,7 +296,7 @@ def cmd_flow(config: RunConfig, seed: int, out_path: str) -> int:
         )
         a, b = direct.values(points), twice.values(points)
         max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
-        payload["semigroup_check"] = {"c": _fmt(c), "max_rel_error": _fmt(max_rel)}
+        payload["semigroup_check"] = {"c": c, "max_rel_error": max_rel}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -225,10 +225,7 @@ def convolve_numeric(
 
 
 def gauss_convolve_exp(
-    P: Sym2Tensor,
-    I: FieldFunction,
-    rule: QuadratureRule | None = None,
-    order: int | None = None,
+    P: Sym2Tensor, I: FieldFunction, *, order: int | None = None
 ) -> FieldFunction:
     """The convolution N(P) * (exp o I) as an evaluable function.
 
@@ -243,10 +240,7 @@ def gauss_convolve_exp(
         raise DimensionMismatch(f"dimension mismatch: {P.dim} vs {I.dim}")
     if not I.integrable:
         raise NotIntegrable("interaction is not exp-integrable")
-    if rule is None:
-        rule = QuadratureRule.for_covariance(P, order)
-    elif rule.dim != P.dim:
-        raise DimensionMismatch("rule dimension does not match covariance")
+    rule = QuadratureRule.for_covariance(P, order)
     nodes, log_weights = rule.nodes, np.log(rule.weights)
     per_chunk = max(1, _CHUNK_ROWS // len(nodes))
 

@@ -186,14 +186,14 @@ def shifted_log_eval(g: GaussianMeasure, C: Sym2Tensor, k, x) -> float:
     return float(kv @ xv) + 0.5 * float(kv @ ck) + g.log_eval(xv + ck)
 
 
-def normalization_by_quadrature(g: GaussianMeasure, order: int | None = None) -> float:
+def normalization_by_quadrature(g: GaussianMeasure) -> float:
     """Total integral of g estimated with a mismatched Gauss-Hermite weight.
 
     The weight covariance is deliberately inflated to 2C so the result is a
     genuine quadrature estimate rather than an identity of the rule.
     """
     weight = GaussianMeasure(2.0 * g.covariance)
-    rule = QuadratureRule.for_covariance(weight.covariance, order)
+    rule = QuadratureRule.for_covariance(weight.covariance)
     log_ratio = g.log_density(rule.nodes) - weight.log_density(rule.nodes)
     # The integral is (g * 1)(0), so an overflow names the origin.
     origin = np.zeros((1, g.dim))

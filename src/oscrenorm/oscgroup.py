@@ -74,9 +74,7 @@ class OscElement:
 
 
 def osc_mul(g: OscElement, h: OscElement) -> OscElement:
-    """Group product g * h."""
-    if g.dim != h.dim:
-        raise DimensionMismatch(f"dimension mismatch: {g.dim} vs {h.dim}")
+    """Group product g * h; ``g.m @ h.m`` rejects a dimension mismatch."""
     return OscElement._from_parts(
         g.m @ h.m,
         h.m.matrix.T @ g.k + h.k,
@@ -139,7 +137,6 @@ def ur(C: Sym2Tensor, M: GlElement) -> UrElement:
 
 
 def sd_mul(g1: UrElement, g2: UrElement) -> UrElement:
-    """Semidirect product (m1 m2, p1 + m1 p2 m1^T)."""
-    if g1.dim != g2.dim:
-        raise DimensionMismatch(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    """Semidirect product (m1 m2, p1 + m1 p2 m1^T); ``g1.m @ g2.m``
+    rejects a dimension mismatch."""
     return UrElement(g1.m @ g2.m, g1.p + act_sym(g1.m, g2.p))

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .functions import (
     FieldFunction,
-    QuadratureRule,
     compose,
     gauss_convolve_exp,
     log_fn,
@@ -112,35 +111,28 @@ class DilationFamily:
 
 @dataclass(frozen=True)
 class PropagatorFamily:
-    """Scale-indexed covariances generated from a base tensor by dilation.
+    """A positive-definite base propagator P_L0 and a dilation family T_c.
 
-    P at scale L is defined as T_{L/L0} P_base T_{L/L0}^T, so dilation
-    equivariance holds by construction.
+    A step at factor c coarse-grains over P_L0 - T_c P_L0 T_c^T, so
+    dilation equivariance holds by construction.
     """
 
     base: Sym2Tensor
     dilation: DilationFamily
-    fiducial_scale: float = 1.0
 
     def __post_init__(self):
         if not is_positive_definite(self.base):
             raise NotPositiveDefinite("base propagator must be positive definite")
         if self.base.dim != self.dilation.dim:
             raise ValueError("base tensor and dilation generator dimensions differ")
-        if not self.fiducial_scale > 0.0:
-            raise NonPositiveScale(
-                f"fiducial scale must be positive, got {self.fiducial_scale}"
-            )
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     @classmethod
-    def with_default_dilation(
-        cls, base: Sym2Tensor, fiducial_scale: float = 1.0
-    ) -> "PropagatorFamily":
-        return cls(base, DilationFamily.default(base.dim), fiducial_scale)
+    def with_default_dilation(cls, base: Sym2Tensor) -> "PropagatorFamily":
+        return cls(base, DilationFamily.default(base.dim))
 
 
 def step_lift(fam: PropagatorFamily, c: float) -> UrElement:
@@ -245,12 +237,7 @@ def _heat_kernel_integrals(d: int, r2: np.ndarray, L0: float, m: float) -> np.nd
     )
 
 
-def wtilde(
-    P: Sym2Tensor,
-    I: FieldFunction,
-    rule: QuadratureRule | None = None,
-    order: int | None = None,
-) -> FieldFunction:
+def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFunction:
     """Interaction part of the generating function, log(N(P) * exp o I).
 
     A zero covariance acts as the delta for convolution, so wtilde(0, I)
@@ -258,21 +245,13 @@ def wtilde(
     """
     if P.is_zero():
         return I
-    return log_fn(gauss_convolve_exp(P, I, rule=rule, order=order))
+    return log_fn(gauss_convolve_exp(P, I, order=order))
 
 
-def w_full(
-    P: Sym2Tensor,
-    I: FieldFunction,
-    J,
-    rule: QuadratureRule | None = None,
-    order: int | None = None,
-) -> float:
+def w_full(P: Sym2Tensor, I: FieldFunction, J, order: int | None = None) -> float:
     """Cumulant generating function J P J / 2 + wtilde(P, I)(P J)."""
     Jv = as_vector(J, P.dim)
-    return 0.5 * quad_form(Jv, P) + wtilde(P, I, rule=rule, order=order)(
-        contract(P, Jv)
-    )
+    return 0.5 * quad_form(Jv, P) + wtilde(P, I, order=order)(contract(P, Jv))
 
 
 def rescale(
@@ -324,29 +303,25 @@ def renorm_step(
     return cgrl_compose(lift.m, lift.p, I, order=order)
 
 
-def project_polynomial(
-    f: FieldFunction, points, degree: int, values=None
-) -> tuple[FieldFunction, float]:
-    """Least-squares polynomial fit of f on the given points.
+def project_polynomial(points, values, degree: int) -> tuple[list, float]:
+    """Least-squares polynomial fit of ``values``, a function's values at the
+    rows of ``points``.
 
-    Returns the fitted polynomial (total degree <= ``degree``, capped at 8)
-    and the root-mean-square residual of the fit.  ``values``, if given, are
-    f's values at ``points``, so that f is not evaluated again.  Intended
+    Returns the terms [(exponents, coeff), ...] of every monomial of total
+    degree <= ``degree`` (capped at 8), zero coefficients included, sorted
+    by exponents, and the root-mean-square residual of the fit.  Intended
     for reporting flow tables, not for feeding back into the flow itself.
     """
     degree = min(int(degree), 8)
-    pts = as_block(points, f.dim)
+    pts = np.asarray(points, dtype=float)
     exponents = [
         e
-        for e in itertools.product(range(degree + 1), repeat=f.dim)
+        for e in itertools.product(range(degree + 1), repeat=pts.shape[1])
         if sum(e) <= degree
     ]
     exponents.sort(key=lambda e: (sum(e), e))
     design = monomials(pts, np.array(exponents))
-    values = f.values(pts) if values is None else np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))
-    fitted = FieldFunction.polynomial(
-        [(e, c) for e, c in zip(exponents, coeffs)], f.dim
-    )
-    return fitted, residual
+    return sorted(zip(exponents, coeffs.tolist())), residual

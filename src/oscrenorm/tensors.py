@@ -277,8 +277,8 @@ def min_eigenvalue(C: Sym2Tensor) -> float:
     return float(np.linalg.eigvalsh(C.matrix)[0])
 
 
-def is_positive_definite(C: Sym2Tensor, rtol: float = PD_RTOL) -> bool:
-    """True iff the smallest eigenvalue clears ``rtol`` times the norm.
+def is_positive_definite(C: Sym2Tensor) -> bool:
+    """True iff the smallest eigenvalue clears ``PD_RTOL`` times the norm.
 
     The spectral norm of a symmetric tensor is its largest absolute
     eigenvalue, so one ``eigvalsh`` gives both sides.
@@ -287,7 +287,7 @@ def is_positive_definite(C: Sym2Tensor, rtol: float = PD_RTOL) -> bool:
     scale = max(-eig[0], eig[-1])
     if scale == 0.0:
         return False
-    return bool(eig[0] > rtol * scale)
+    return bool(eig[0] > PD_RTOL * scale)
 
 
 def cholesky(C: Sym2Tensor) -> np.ndarray:

@@ -85,7 +85,7 @@ class TestLoadConfig:
 
     def test_indefinite_propagator(self, tmp_path):
         bad = {"base": [[2.0, 3.0], [3.0, 2.0]]}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^NotPositiveDefinite: base propagator"):
             load_config(write_config(tmp_path, dimension=2, propagator=bad))
 
     def test_explicit_points(self, tmp_path):
@@ -138,6 +138,35 @@ class TestFlowCommand:
         main(["flow", "--config", cfg, "--out", str(out1)])
         main(["flow", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_projection_lists_every_monomial(self, tmp_path):
+        # On a grid symmetric about 0 the x^1 coefficient of -0.3 x^2 comes
+        # out exactly 0.0; it is listed all the same.
+        cfg = write_config(
+            tmp_path,
+            interaction={"terms": [{"exponents": [2], "coeff": -0.3}]},
+            scale_ladder=[1.0],
+            sample_points={"grid": {"lo": -1.0, "hi": 1.0, "count": 9}},
+            projection_degree=2,
+        )
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        terms = record["interaction_projection"]["terms"]
+        assert [t["exponents"] for t in terms] == [[0], [1], [2]]
+        assert terms[1]["coeff"] == 0.0
+        assert terms[2]["coeff"] == pytest.approx(-0.3, rel=1e-12)
+
+    def test_fiducial_scale_has_no_effect_with_base(self, tmp_path):
+        outs = []
+        for scale in (1.0, 2.5):
+            cfg = write_config(
+                tmp_path, f"config-{scale}.json",
+                fiducial_scale=scale, semigroup_check_c=4.0,
+            )
+            outs.append(tmp_path / f"flow-{scale}.json")
+            assert main(["flow", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_semigroup_check_record(self, tmp_path):
         cfg = write_config(tmp_path, semigroup_check_c=4.0, quadrature_order=40)

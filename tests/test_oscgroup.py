@@ -58,7 +58,7 @@ class TestGroupLaw:
         assert element_gap(osc_inv(g), expected) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 2 vs 3$"):
             osc_mul(random_osc(rng, 2), random_osc(rng, 3))
 
     @settings(max_examples=50, deadline=None)
@@ -268,6 +268,12 @@ class TestUr:
     def test_example_values(self):
         out = ur(Sym2Tensor.diagonal([1.0, 2.0]), GlElement(0.5 * np.eye(2)))
         np.testing.assert_allclose(out.p.matrix, np.diag([0.75, 1.5]))
+
+    def test_sd_mul_dimension_mismatch(self, rng):
+        g2 = ur(random_sym(rng, 2), random_gl(rng, 2))
+        g3 = ur(random_sym(rng, 3), random_gl(rng, 3))
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 2 vs 3$"):
+            sd_mul(g2, g3)
 
     def test_homomorphism(self, rng):
         for _ in range(50):

@@ -456,11 +456,19 @@ class TestProjectPolynomial:
     def test_exact_recovery(self):
         I = FieldFunction.polynomial([((4,), -0.3), ((2,), 0.7), ((0,), 1.1)], dim=1)
         pts = [[x] for x in np.linspace(-2.0, 2.0, 21)]
-        fitted, residual = project_polynomial(I, pts, degree=4)
+        terms, residual = project_polynomial(pts, I.values(pts), degree=4)
         assert residual == pytest.approx(0.0, abs=1e-10)
-        coeffs = dict(fitted.terms)
+        coeffs = dict(terms)
         assert coeffs[(4,)] == pytest.approx(-0.3, abs=1e-9)
         assert coeffs[(2,)] == pytest.approx(0.7, abs=1e-9)
+
+    def test_lists_every_monomial_sorted(self):
+        pts = [[x, y] for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.5, 1.0)]
+        values = [1.0 - x * y for x, y in pts]
+        terms, _ = project_polynomial(pts, values, degree=2)
+        assert [e for e, _ in terms] == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)
+        ]
 
     def test_residual_reported_for_nonpolynomial(self):
         f = FieldFunction(
@@ -468,5 +476,5 @@ class TestProjectPolynomial:
             integrable=False,
         )
         pts = [[x] for x in np.linspace(-3.0, 3.0, 31)]
-        _, residual = project_polynomial(f, pts, degree=1)
+        _, residual = project_polynomial(pts, f.values(pts), degree=1)
         assert residual > 1e-3
