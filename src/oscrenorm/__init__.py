@@ -58,7 +58,6 @@ from .tensors import (
     Sym2Tensor,
     act_sym,
     as_vector,
-    cholesky,
     contract,
     is_positive_definite,
     min_eigenvalue,

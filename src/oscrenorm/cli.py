@@ -53,7 +53,6 @@ MAX_EXPONENT = 2 * MAX_ORDER - 1
 class RunConfig:
     """Validated run configuration for flow/wtilde commands."""
 
-    dimension: int
     family: PropagatorFamily
     interaction: FieldFunction
     scale_ladder: tuple
@@ -228,7 +227,6 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         )
 
     return RunConfig(
-        dimension=dim,
         family=family,
         interaction=interaction,
         scale_ladder=ladder,
@@ -279,7 +277,7 @@ def cmd_flow(config: RunConfig, seed: int, out_path: str) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "dimension": config.dimension,
+        "dimension": config.family.dim,
         "records": records,
     }
     if config.semigroup_check_c is not None:
@@ -312,7 +310,7 @@ def cmd_wtilde(config: RunConfig, out_path: str) -> int:
     sources = [contract(P, J) for J in points]
     values = wt.values(np.vstack([points, sources]))
     lines = []
-    header = [f"x{i}" for i in range(config.dimension)] + ["wtilde", "w"]
+    header = [f"x{i}" for i in range(config.family.dim)] + ["wtilde", "w"]
     lines.append(",".join(header))
     for i, p in enumerate(points):
         row = [f"{v:.12g}" for v in p]

@@ -30,14 +30,13 @@ from .errors import (
     NonPositiveConvolution,
     NonPositiveValue,
     NotIntegrable,
-    NotPositiveDefinite,
 )
 # default_order stays importable from here: perfbench/tracing.py reads
 # functions.default_order to count the nodes of default-order convolutions.
 from .gaussian import GaussianMeasure, QuadratureRule, _weighted_sums
 from .gaussian import default_order  # noqa: F401
 from .oscgroup import OscElement
-from .tensors import GlElement, Sym2Tensor, as_block, as_vector, is_positive_definite
+from .tensors import GlElement, Sym2Tensor, as_block, as_vector
 
 #: Most (point, node) integrand rows one chunk of a Gaussian convolution
 #: evaluates at once; bounds the memory of its temporaries.
@@ -219,7 +218,7 @@ def convolve_numeric(
     # log 0 = -inf and contributes exactly 0.
     with np.errstate(over="ignore", divide="ignore"):
         prod = f.evaluator(nodes) * g.evaluator(xv - nodes)
-        log_ratio = np.log(np.abs(prod)) - GaussianMeasure(rule.covariance).log_density(nodes)
+        log_ratio = np.log(np.abs(prod)) - rule.measure.log_density(nodes)
     log_weights, signs = np.log(rule.weights), np.sign(prod)[None, :]
     return float(_weighted_sums(log_weights, log_ratio[None, :], xv[None, :], signs)[0])
 
@@ -230,12 +229,12 @@ def gauss_convolve_exp(
     """The convolution N(P) * (exp o I) as an evaluable function.
 
     Computed at each point as the expectation of exp(I(x - y)) over
-    y ~ N(0, P), via Hermite nodes transformed by the Cholesky factor of P.
+    y ~ N(0, P), via Hermite nodes transformed by the Cholesky factor of P;
+    a P that is not positive definite fails its ``GaussianMeasure`` with
+    NotPositiveDefinite.
     A block of points is taken in chunks of at most ``_CHUNK_ROWS``
     (point, node) rows, each reduced by ``gaussian._weighted_sums``.
     """
-    if not is_positive_definite(P):
-        raise NotPositiveDefinite("convolution covariance must be positive definite")
     if P.dim != I.dim:
         raise DimensionMismatch(f"dimension mismatch: {P.dim} vs {I.dim}")
     if not I.integrable:

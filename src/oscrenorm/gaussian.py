@@ -3,15 +3,16 @@
 The density of N[C] is (2 pi)^(-n/2) det(C)^(-1/2) exp(-x C^{-1} x / 2).
 Convolution adds covariances, N(A) * N(B) = N(A + B), and GL(V) acts
 through det(M) N(C) o M = N(M^{-1} C M^{-T}).  Evaluation is done in the
-log domain (log-normalizer plus quadratic form).  Expectations under N(C)
-are taken with a tensor-product Gauss-Hermite ``QuadratureRule``, and every
-weighted sum over its nodes is reduced by ``_weighted_sums``.
+log domain (log-normalizer plus quadratic form).  ``GaussianMeasure`` is
+the one place a covariance is checked and factored.  Expectations under
+N(C) are taken with a tensor-product Gauss-Hermite ``QuadratureRule``
+built on its measure's Cholesky factor, and every weighted sum over its
+nodes is reduced by ``_weighted_sums``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .tensors import (
     act_sym,
     as_block,
     as_vector,
-    cholesky,
     is_positive_definite,
 )
 
@@ -52,8 +52,9 @@ def default_order(dim: int) -> int:
 class GaussianMeasure:
     """Mean-zero Gaussian N[C] with positive-definite covariance.
 
-    The Cholesky factor and log-normalizer are computed once at
-    construction; evaluation is pure and thread-safe.
+    Construction checks C once, raising NotPositiveDefinite, and computes
+    its Cholesky factor and the log-normalizer; evaluation is pure and
+    thread-safe.
     """
 
     covariance: Sym2Tensor
@@ -61,7 +62,7 @@ class GaussianMeasure:
     def __post_init__(self):
         if not is_positive_definite(self.covariance):
             raise NotPositiveDefinite("Gaussian covariance must be positive definite")
-        chol = cholesky(self.covariance)
+        chol = np.linalg.cholesky(self.covariance.matrix)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         n = self.covariance.dim
         log_norm = -0.5 * (n * math.log(2.0 * math.pi) + log_det)
@@ -108,35 +109,34 @@ def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureRule:
     """Tensor-product Gauss-Hermite rule for a Gaussian weight N(0, C).
 
-    ``nodes`` holds the transformed points x_i = sqrt(2) L t_i (L the
-    Cholesky factor of C) in canonical lexicographic order; ``weights`` are
-    normalized to sum to 1, so the rule computes expectations under N(0, C).
+    ``measure`` is N(C) itself.  ``nodes`` holds the transformed points
+    x_i = sqrt(2) L t_i (L the measure's Cholesky factor) in canonical
+    lexicographic order; ``weights`` are normalized to sum to 1, so the rule
+    computes expectations under N(0, C).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    covariance: Sym2Tensor
-    order: int
+    measure: GaussianMeasure
 
     @property
     def dim(self) -> int:
-        return self.covariance.dim
+        return self.measure.dim
 
     @classmethod
     def for_covariance(cls, C: Sym2Tensor, order: int | None = None) -> "QuadratureRule":
-        if not is_positive_definite(C):
-            raise NotPositiveDefinite("quadrature weight covariance must be PD")
+        measure = GaussianMeasure(C)
         n = C.dim
         q = int(order) if order is not None else default_order(n)
         t, w = _hermite(q)
-        L = cholesky(C)
-        # Lexicographic tensor product fixes the reduction order.
-        grids = np.array(list(itertools.product(t, repeat=n)))
-        weights = np.prod(np.array(list(itertools.product(w, repeat=n))), axis=1)
-        nodes = math.sqrt(2.0) * grids @ L.T
+        # Row i holds the 1-D indices of node i; lexicographic order fixes
+        # the reduction order.
+        idx = np.indices((q,) * n).reshape(n, -1).T
+        nodes = math.sqrt(2.0) * t[idx] @ measure._chol.T
+        weights = np.prod(w[idx], axis=1)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        return cls(nodes=nodes, weights=weights, covariance=C, order=q)
+        return cls(nodes=nodes, weights=weights, measure=measure)
 
 
 #: log of the largest weighted integrand term a reduction accepts.
@@ -192,9 +192,8 @@ def normalization_by_quadrature(g: GaussianMeasure) -> float:
     The weight covariance is deliberately inflated to 2C so the result is a
     genuine quadrature estimate rather than an identity of the rule.
     """
-    weight = GaussianMeasure(2.0 * g.covariance)
-    rule = QuadratureRule.for_covariance(weight.covariance)
-    log_ratio = g.log_density(rule.nodes) - weight.log_density(rule.nodes)
+    rule = QuadratureRule.for_covariance(2.0 * g.covariance)
+    log_ratio = g.log_density(rule.nodes) - rule.measure.log_density(rule.nodes)
     # The integral is (g * 1)(0), so an overflow names the origin.
     origin = np.zeros((1, g.dim))
     return float(_weighted_sums(np.log(rule.weights), log_ratio[None, :], origin)[0])

@@ -308,11 +308,10 @@ def project_polynomial(points, values, degree: int) -> tuple[list, float]:
     rows of ``points``.
 
     Returns the terms [(exponents, coeff), ...] of every monomial of total
-    degree <= ``degree`` (capped at 8), zero coefficients included, sorted
-    by exponents, and the root-mean-square residual of the fit.  Intended
-    for reporting flow tables, not for feeding back into the flow itself.
+    degree <= ``degree``, zero coefficients included, sorted by exponents,
+    and the root-mean-square residual of the fit.  Intended for reporting
+    flow tables, not for feeding back into the flow itself.
     """
-    degree = min(int(degree), 8)
     pts = np.asarray(points, dtype=float)
     exponents = [
         e

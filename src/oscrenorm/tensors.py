@@ -34,7 +34,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularTensor
+from .errors import DimensionMismatch, SingularTensor
 
 #: Hard cap on field-space dimension for the dense representations.
 MAX_DIM = 8
@@ -288,10 +288,3 @@ def is_positive_definite(C: Sym2Tensor) -> bool:
     if scale == 0.0:
         return False
     return bool(eig[0] > PD_RTOL * scale)
-
-
-def cholesky(C: Sym2Tensor) -> np.ndarray:
-    """Lower-triangular L with L L^T = C."""
-    if not is_positive_definite(C):
-        raise NotPositiveDefinite("Cholesky factor requires a positive-definite tensor")
-    return np.linalg.cholesky(C.matrix)

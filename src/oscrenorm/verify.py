@@ -62,8 +62,8 @@ class Check:
         dims = self.dims if dims is None else dims
         return float(np.max([self.sample(rng, n) for n in dims for _ in range(trials)]))
 
-    def run(self, rng, trials=None, dims=None) -> CheckResult:
-        err = self.max_error(rng, trials, dims)
+    def run(self, rng) -> CheckResult:
+        err = self.max_error(rng)
         passed = err > self.tolerance if self.exceeds else err <= self.tolerance
         return CheckResult(self.name, passed, err, self.tolerance)
 

@@ -46,7 +46,7 @@ def heat_kernel_config(tmp_path, heat_kernel):
 class TestLoadConfig:
     def test_valid(self, tmp_path):
         config = load_config(write_config(tmp_path))
-        assert config.dimension == 1
+        assert config.family.dim == 1
         assert config.scale_ladder == (1.0, 2.0, 4.0)
         assert len(config.sample_points) == 5
         assert config.interaction.integrable
@@ -175,6 +175,26 @@ class TestFlowCommand:
         check = json.loads(out.read_text())["semigroup_check"]
         assert check["c"] == 4.0
         assert check["max_rel_error"] < 1e-5
+
+    def test_singular_step_covariance_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            dimension=2,
+            propagator={"base": [[1.0, 0.0], [0.0, 1.0]]},
+            dilation_generator=[[-0.5, 0.0], [0.0, 0.0]],
+            interaction={"terms": [
+                {"exponents": [4, 0], "coeff": -0.1},
+                {"exponents": [0, 4], "coeff": -0.1},
+            ]},
+            scale_ladder=[2.0],
+            sample_points=[[0.1, 0.2]],
+            quadrature_order=8,
+        )
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_quadratic_flow_matches_closed_form(self, tmp_path):
         # pure mass term: coefficient map has an exact solution

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,10 +22,11 @@ from oscrenorm import (
     log_fn,
     osc_mul,
     sigma_act,
+    wtilde,
 )
 from oscrenorm.functions import monomials
-from oscrenorm.gaussian import _hermite
-from conftest import random_gl_pos
+from oscrenorm.gaussian import _hermite, normalization_by_quadrature
+from conftest import random_gl_pos, random_spd
 
 
 def quartic_1d(a4=1.0, a2=0.0):
@@ -135,6 +137,18 @@ class TestIntegrabilityFlag:
         assert f([2.0]) == pytest.approx(math.exp(-2.0))
 
 
+def count_linalg(monkeypatch) -> dict:
+    """Calls of np.linalg.eigvalsh and np.linalg.cholesky from now on."""
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestQuadratureRule:
     def test_weights_normalized(self):
         rule = QuadratureRule.for_covariance(Sym2Tensor.identity(2), order=8)
@@ -153,14 +167,46 @@ class TestQuadratureRule:
         est = float(rule.weights @ rule.nodes[:, 0] ** 4)
         assert est == pytest.approx(3.0 * 1.5**2, rel=1e-12)
 
-    def test_deterministic_node_order(self):
-        r1 = QuadratureRule.for_covariance(Sym2Tensor.identity(2), order=6)
-        r2 = QuadratureRule.for_covariance(Sym2Tensor.identity(2), order=6)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_deterministic_node_order(self, n):
+        # Bit for bit the lexicographic itertools.product tensor product.
+        C = random_spd(np.random.default_rng(n), n)
+        r1 = QuadratureRule.for_covariance(C, order=5)
+        r2 = QuadratureRule.for_covariance(C, order=5)
         np.testing.assert_array_equal(r1.nodes, r2.nodes)
+        t, w = _hermite(5)
+        grid = np.array(list(itertools.product(t, repeat=n)))
+        weights = np.prod(np.array(list(itertools.product(w, repeat=n))), axis=1)
+        L = np.linalg.cholesky(C.matrix)
+        np.testing.assert_array_equal(r1.nodes, math.sqrt(2.0) * grid @ L.T)
+        np.testing.assert_array_equal(r1.weights, weights)
 
     def test_default_orders(self):
-        assert QuadratureRule.for_covariance(Sym2Tensor.identity(1)).order == 40
-        assert QuadratureRule.for_covariance(Sym2Tensor.identity(2)).order == 20
+        assert len(QuadratureRule.for_covariance(Sym2Tensor.identity(1)).nodes) == 40
+        assert len(QuadratureRule.for_covariance(Sym2Tensor.identity(2)).nodes) == 400
+
+    def test_wtilde_checks_and_factors_its_covariance_once(self, monkeypatch):
+        P = Sym2Tensor([[1.0, 0.3], [0.3, 0.8]])
+        I = FieldFunction.polynomial([((4, 0), -0.1), ((0, 4), -0.1)], dim=2)
+        _hermite(6)  # hermgauss runs eigvalsh itself
+        calls = count_linalg(monkeypatch)
+        wtilde(P, I, order=6)
+        assert calls == {"eigvalsh": 1, "cholesky": 1}
+
+    def test_convolve_numeric_reuses_the_rule_measure(self, monkeypatch):
+        rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0, 0.2], [0.2, 0.5]]), order=6)
+        f = FieldFunction.exp_polynomial([((2, 0), -0.5), ((0, 2), -0.5)], dim=2)
+        g = FieldFunction.polynomial([((1, 1), 1.0), ((0, 0), 2.0)], dim=2)
+        calls = count_linalg(monkeypatch)
+        convolve_numeric(f, g, rule, [0.3, -0.2])
+        assert calls == {"eigvalsh": 0, "cholesky": 0}
+
+    def test_normalization_checks_and_factors_its_weight_once(self, monkeypatch):
+        g = GaussianMeasure(Sym2Tensor([[1.0, 0.3], [0.3, 0.8]]))
+        _hermite(20)
+        calls = count_linalg(monkeypatch)
+        normalization_by_quadrature(g)
+        assert calls == {"eigvalsh": 1, "cholesky": 1}
 
     def test_unsupported_dimension(self):
         with pytest.raises(DimensionMismatch):

@@ -161,6 +161,14 @@ class TestRenormStep:
         with pytest.raises(MonotonicityViolated):
             step_lift(fam, 2.0)
 
+    def test_singular_step_covariance_fails_loudly(self):
+        # A generator that leaves one axis fixed is monotone, but its step
+        # covariance diag(1/2, 0) is singular: N(P) has no density.
+        fam = PropagatorFamily(Sym2Tensor.identity(2), DilationFamily(np.diag([-0.5, 0.0])))
+        I = FieldFunction.polynomial([((4, 0), -0.1), ((0, 4), -0.1)], dim=2)
+        with pytest.raises(NotPositiveDefinite):
+            renorm_step(fam, 2.0, I)
+
 
 class TestHeatKernel:
     def test_3d_diagonal_closed_form(self):

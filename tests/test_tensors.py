@@ -6,11 +6,9 @@ import pytest
 from oscrenorm import (
     DimensionMismatch,
     GlElement,
-    NotPositiveDefinite,
     SingularTensor,
     Sym2Tensor,
     act_sym,
-    cholesky,
     contract,
     is_positive_definite,
     quad_form,
@@ -126,24 +124,6 @@ class TestIsPositiveDefinite:
                 C.matrix, 2
             )
             assert is_positive_definite(C) == expected
-
-
-class TestCholesky:
-    def test_scalar(self):
-        np.testing.assert_allclose(cholesky(Sym2Tensor([[4.0]])), [[2.0]])
-
-    def test_identity(self):
-        np.testing.assert_allclose(cholesky(Sym2Tensor.identity(3)), np.eye(3))
-
-    def test_reconstruction(self):
-        C = Sym2Tensor([[4.0, 2.0], [2.0, 2.0]])
-        L = cholesky(C)
-        np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_allclose(L @ L.T, C.matrix, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(Sym2Tensor([[2.0, 3.0], [3.0, 2.0]]))
 
 
 class TestConstruction:
