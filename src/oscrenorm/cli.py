@@ -31,9 +31,11 @@ from .renorm import (
     heat_kernel_base,
     project_polynomial,
     renorm_step,
+    step_is_identity,
+    step_lift,
     wtilde,
 )
-from .tensors import Sym2Tensor, contract, quad_form
+from .tensors import Sym2Tensor, contract, is_positive_definite, quad_form
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -224,6 +226,20 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         check_c = _number(check_c, "semigroup_check_c")
         _require(
             1.0 < check_c < math.inf, "semigroup_check_c must be finite and exceed 1"
+        )
+
+    # Every factor a flow steps by: a step covariance must be zero (the
+    # identity step) or have a Gaussian density to integrate against.
+    factors = set(ladder)
+    if check_c is not None:
+        factors |= {check_c, math.sqrt(check_c)}
+    for c in sorted(factors):
+        lift = step_lift(family, c)
+        _require(
+            step_is_identity(family, lift) or is_positive_definite(lift.p),
+            f"step covariance P_L0 - P_cL0 at c = {c!r} is nonzero but not "
+            "positive definite; the dilation family must contract every "
+            "direction of the base propagator",
         )
 
     return RunConfig(

@@ -11,6 +11,14 @@ public entry and ``f(x)`` the single-point one; both validate their input.
 Each row's value is reduced in a fixed order that does not depend on the
 other rows of the block, so batching never changes a value.
 
+Inside this module a block is laid out column by column (Fortran order):
+a convolution evaluates its integrand on q^n rows per point, q^2n for a
+nested pair, but only n <= 4 coordinates and a few polynomial terms, so
+every array operation here runs along the long point axis, one coordinate
+column or one term row at a time.  Short sums over coordinates or terms
+are taken in order from 0.0, as numpy's own sum takes them up to 7 terms,
+so a value's bits do not depend on the layout.
+
 The group acts on the right:
 
     sigma(f, (M, k, v, c))(x) = exp(k(x) + c) * f(Mx + v)
@@ -38,11 +46,36 @@ from .gaussian import default_order  # noqa: F401
 from .oscgroup import OscElement
 from .tensors import GlElement, Sym2Tensor, as_block, as_vector
 
-#: Most (point, node) integrand rows one chunk of a Gaussian convolution
-#: evaluates at once; bounds the memory of its temporaries.
+#: (point, node) integrand rows one chunk of a Gaussian convolution aims
+#: at: a chunk holds max(1, _CHUNK_ROWS // q^n) points, so at most
+#: max(_CHUNK_ROWS, q^n) rows; bounds the memory of its temporaries.
 _CHUNK_ROWS = 4096
 
 _LEADING_FORM_SAMPLES = 100
+
+
+def _power_plan(exponents: np.ndarray) -> tuple:
+    """For each coordinate, for each power d = 1, 2, ... up to its highest
+    exponent, the indices of the terms whose exponent there is d."""
+    return tuple(
+        tuple(np.flatnonzero(e == d).tolist() for d in range(1, e.max(initial=0) + 1))
+        for e in exponents.T
+    )
+
+
+def _monomial_table(X: np.ndarray, plan: tuple, k: int) -> np.ndarray:
+    """(k, m) term-major values of the k monomials planned by ``_power_plan``
+    at the rows of X; each term's row is multiplied in place by the running
+    power of each coordinate, in coordinate order."""
+    table = np.ones((k, len(X)))
+    for x, powers in zip(X.T, plan):
+        power = x
+        for d, terms in enumerate(powers):
+            if d:
+                power = power * x
+            for t in terms:
+                table[t] *= power
+    return table
 
 
 def monomials(X: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -56,25 +89,45 @@ def monomials(X: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     about 10 times slower than its SIMD path for positive ones, and the two
     paths differ in the last bit. By multiplication, x^e at -x is
     (-1)^|e| x^e bit for bit.
+
+    The table is built term-major, each term a row along the point axis,
+    and returned as a C-contiguous (m, k) copy: a least-squares fit against
+    a transposed design matrix takes another BLAS path and moves its
+    residual in the last digits.
     """
-    out = np.ones((len(X), len(exponents)))
-    for x, e in zip(X.T, exponents.T):
-        power = np.ones(len(X))
-        for d in range(1, e.max(initial=0) + 1):
-            power = power * x
-            terms = e == d
-            if terms.any():
-                out[:, terms] *= power[:, None]
-    return out
+    table = _monomial_table(X, _power_plan(exponents), len(exponents))
+    return np.ascontiguousarray(table.T)
 
 
-def _poly_values(X, exponents, coeffs) -> np.ndarray:
-    return np.sum(monomials(X, exponents) * coeffs, axis=1)
+def _poly_evaluator(exponents: np.ndarray, coeffs: np.ndarray):
+    """Evaluator of sum_t coeffs[t] x^exponents[t], the terms summed in
+    order from 0.0.  The sum is spelled out: numpy's sum over the term axis
+    of a one-point table would take its pairwise order from 8 terms on."""
+    plan, k = _power_plan(exponents), len(coeffs)
+
+    def evaluator(X):
+        total = np.zeros(len(X))
+        for row, c in zip(_monomial_table(X, plan, k), coeffs):
+            row *= c
+            total += row
+        return total
+
+    return evaluator
+
+
+def _dot(X: np.ndarray, w) -> np.ndarray:
+    """X @ w for an (m, n) block, one coordinate column at a time, summed in
+    coordinate order from 0.0."""
+    total = 0.0
+    for x, wj in zip(X.T, w):
+        total = total + x * wj
+    return total
 
 
 def _apply(m: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows of X mapped by the matrix m, i.e. X @ m.T, summed row by row."""
-    return np.sum(X[:, None, :] * m, axis=2)
+    """Rows of X mapped by the matrix m, i.e. X @ m.T, as a Fortran-ordered
+    block."""
+    return np.stack([_dot(X, row) for row in m]).T
 
 
 def _exp_integrable(exponents: np.ndarray, coeffs: np.ndarray) -> bool:
@@ -94,7 +147,8 @@ def _exp_integrable(exponents: np.ndarray, coeffs: np.ndarray) -> bool:
     dim = exponents.shape[1]
     u = default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return bool(np.all(_poly_values(u, exponents[leading], coeffs[leading]) < 0.0))
+    leading_form = _poly_evaluator(exponents[leading], coeffs[leading])
+    return bool(np.all(leading_form(u) < 0.0))
 
 
 @dataclass(frozen=True)
@@ -112,7 +166,7 @@ class FieldFunction:
 
     def values(self, points) -> np.ndarray:
         """Values at the rows of an (m, n) block of points."""
-        return self.evaluator(as_block(points, self.dim))
+        return self.evaluator(np.asfortranarray(as_block(points, self.dim)))
 
     def __call__(self, x) -> float:
         return float(self.evaluator(as_vector(x, self.dim)[None, :])[0])
@@ -138,7 +192,7 @@ class FieldFunction:
         exponents = np.array([e for e, _ in clean], dtype=int).reshape(len(clean), dim)
         coeffs = np.array([c for _, c in clean])
         return cls(
-            evaluator=lambda X: _poly_values(X, exponents, coeffs),
+            evaluator=_poly_evaluator(exponents, coeffs),
             dim=dim,
             terms=clean,
             integrable=_exp_integrable(exponents, coeffs),
@@ -181,7 +235,7 @@ def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:
     m, k, v, c = g.m.matrix, g.k, g.v, g.c
 
     def evaluator(X):
-        return np.exp(np.sum(X * k, axis=1) + c) * f.evaluator(_apply(m, X) + v)
+        return np.exp(_dot(X, k) + c) * f.evaluator(_apply(m, X) + v)
 
     # Gaussian-dominated decay survives the action: M is invertible and the
     # exponential-linear prefactor is subdominant.
@@ -232,22 +286,25 @@ def gauss_convolve_exp(
     y ~ N(0, P), via Hermite nodes transformed by the Cholesky factor of P;
     a P that is not positive definite fails its ``GaussianMeasure`` with
     NotPositiveDefinite.
-    A block of points is taken in chunks of at most ``_CHUNK_ROWS``
-    (point, node) rows, each reduced by ``gaussian._weighted_sums``.
+    A block of points is taken in chunks of max(1, ``_CHUNK_ROWS`` // q^n)
+    points, i.e. at most max(``_CHUNK_ROWS``, q^n) (point, node) rows, each
+    reduced by ``gaussian._weighted_sums``.  A chunk's shifted block is
+    built column by column from the (n, q^n) node columns, point-major as
+    in the rule's reduction order, and passed on Fortran-ordered.
     """
     if P.dim != I.dim:
         raise DimensionMismatch(f"dimension mismatch: {P.dim} vs {I.dim}")
     if not I.integrable:
         raise NotIntegrable("interaction is not exp-integrable")
     rule = QuadratureRule.for_covariance(P, order)
-    nodes, log_weights = rule.nodes, np.log(rule.weights)
-    per_chunk = max(1, _CHUNK_ROWS // len(nodes))
+    cols, log_weights = np.ascontiguousarray(rule.nodes.T), np.log(rule.weights)
+    per_chunk = max(1, _CHUNK_ROWS // cols.shape[1])
 
     def evaluator(X):
         out = np.empty(len(X))
         for lo in range(0, len(X), per_chunk):
             x = X[lo:lo + per_chunk]
-            shifted = (x[:, None, :] - nodes).reshape(-1, P.dim)
+            shifted = (x.T[:, :, None] - cols[:, None, :]).reshape(P.dim, -1).T
             log_values = I.evaluator(shifted).reshape(len(x), -1)
             value = _weighted_sums(log_weights, log_values, x)
             bad = np.flatnonzero(~(value > 0.0))

@@ -154,6 +154,13 @@ def step_lift(fam: PropagatorFamily, c: float) -> UrElement:
     return lift
 
 
+def step_is_identity(fam: PropagatorFamily, lift: UrElement) -> bool:
+    """Whether the step tensor of ``lift`` vanishes, to ``PSD_SLACK`` of the
+    base's scale, so that the step returns its input unchanged."""
+    scale = max(1.0, _inf_norm(fam.base.matrix))
+    return lift.p.is_zero(atol=PSD_SLACK * scale)
+
+
 def heat_kernel_base(
     spatial_dim: int, sites, fiducial_scale: float, mass: float = 0.0
 ) -> Sym2Tensor:
@@ -297,8 +304,7 @@ def renorm_step(
     At c = 1 the step tensor vanishes and the input is returned unchanged.
     """
     lift = step_lift(fam, c)
-    scale = max(1.0, _inf_norm(fam.base.matrix))
-    if lift.p.is_zero(atol=PSD_SLACK * scale):
+    if step_is_identity(fam, lift):
         return I
     return cgrl_compose(lift.m, lift.p, I, order=order)
 

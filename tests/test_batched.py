@@ -1,8 +1,9 @@
 """The batched evaluation contract: an (m, n) block of points in, (m,) out.
 
 Every value a block evaluation returns must equal the value of the same
-point taken alone, whatever the block size and however the block is split
-into chunks, and every guard must still fire for a single bad row.
+point taken alone, bit for bit, whatever the block size, its memory layout
+and however the block is split into chunks, and every guard must still
+fire for a single bad row.
 """
 
 import math
@@ -36,8 +37,8 @@ from conftest import random_gl_pos, random_spd
 ORDERS = {1: 12, 2: 6, 3: 4, 4: 3}
 
 CASES = (
-    "polynomial", "exp_polynomial", "compose", "sigma_act",
-    "wtilde", "nested_renorm_step",
+    "polynomial", "nine_term_polynomial", "exp_polynomial", "compose",
+    "sigma_act", "wtilde", "nested_renorm_step",
 )
 
 
@@ -52,6 +53,17 @@ def interaction(n):
     return FieldFunction.polynomial(terms, n)
 
 
+def nine_term_interaction(n):
+    """``interaction(n)`` plus terms of degree 1-3, nine terms in all: past
+    the seven up to which numpy sums a short axis in term order."""
+    terms = list(interaction(n).terms)
+    for t in range(9 - len(terms)):
+        e = [0] * n
+        e[t % n] = 1 + t % 3
+        terms.append((tuple(e), 0.01 * (t + 1)))
+    return FieldFunction.polynomial(terms, n)
+
+
 def cases(n):
     rng = np.random.default_rng(100 + n)
     I = interaction(n)
@@ -63,6 +75,7 @@ def cases(n):
     half = math.sqrt(2.0)
     return {
         "polynomial": I,
+        "nine_term_polynomial": nine_term_interaction(n),
         "exp_polynomial": FieldFunction.exp_polynomial(I.terms, n),
         "compose": compose(I, random_gl_pos(rng, n)),
         "sigma_act": sigma_act(I, g),
@@ -74,14 +87,18 @@ def cases(n):
 
 
 def assert_same_as_pointwise(f, X):
-    np.testing.assert_allclose(f.values(X), [f(x) for x in X], rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(f.values(X), [f(x) for x in X])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", CASES)
 def test_values_match_single_points(n, name):
     X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(6, n))
-    assert_same_as_pointwise(cases(n)[name], X)
+    f = cases(n)[name]
+    # C-ordered, a Fortran-ordered copy, and the transposed view of an
+    # (n, m) array.
+    for block in (X, np.asfortranarray(X), np.ascontiguousarray(X.T).T):
+        assert_same_as_pointwise(f, block)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -176,9 +176,10 @@ class TestFlowCommand:
         assert check["c"] == 4.0
         assert check["max_rel_error"] < 1e-5
 
-    def test_singular_step_covariance_is_an_error(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
+    def singular_step_config(self, tmp_path, **overrides):
+        # The generator fixes the second axis, so every step at c > 1 has
+        # the singular covariance diag(1 - 1/c, 0).
+        settings = dict(
             dimension=2,
             propagator={"base": [[1.0, 0.0], [0.0, 1.0]]},
             dilation_generator=[[-0.5, 0.0], [0.0, 0.0]],
@@ -190,11 +191,34 @@ class TestFlowCommand:
             sample_points=[[0.1, 0.2]],
             quadrature_order=8,
         )
+        settings.update(overrides)
+        return write_config(tmp_path, **settings)
+
+    def test_singular_step_covariance_is_an_error(self, tmp_path, capsys):
+        cfg = self.singular_step_config(tmp_path)
         out = tmp_path / "flow.json"
-        assert main(["flow", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "c = 2.0" in err[0]
         assert not out.exists()
+
+    def test_singular_semigroup_half_step_is_an_error(self, tmp_path, capsys):
+        # The ladder's only step is the identity; the semigroup check steps
+        # by sqrt(4) = 2 first.
+        cfg = self.singular_step_config(
+            tmp_path, scale_ladder=[1.0], semigroup_check_c=4.0
+        )
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "c = 2.0" in err[0]
+        assert not out.exists()
+
+    def test_identity_steps_of_a_singular_family_run(self, tmp_path):
+        cfg = self.singular_step_config(tmp_path, scale_ladder=[1.0])
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
 
     def test_quadratic_flow_matches_closed_form(self, tmp_path):
         # pure mass term: coefficient map has an exact solution

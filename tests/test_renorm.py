@@ -30,6 +30,7 @@ from oscrenorm import (
     w_full,
     wtilde,
 )
+from oscrenorm.functions import monomials
 from oscrenorm.oscgroup import sd_mul, ur
 from oscrenorm.renorm import _heat_kernel_integrals, project_polynomial
 from conftest import random_gl_pos, random_spd, write_config
@@ -477,6 +478,18 @@ class TestProjectPolynomial:
         assert [e for e, _ in terms] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)
         ]
+
+    def test_point_layout_does_not_change_the_fit(self):
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
+        values = np.cos(X[:, 0] + 0.3 * X[:, 1]) + X[:, 0] * X[:, 1] ** 2
+        fits = [
+            project_polynomial(block, values, degree=4)
+            for block in (X, np.asfortranarray(X))
+        ]
+        assert fits[0] == fits[1]
+        assert fits[0][1] > 0.0
+        design = monomials(np.asfortranarray(X), np.array([[0, 0], [1, 2], [4, 0]]))
+        assert design.shape == (40, 3) and design.flags.c_contiguous
 
     def test_residual_reported_for_nonpolynomial(self):
         f = FieldFunction(
