@@ -1,9 +1,15 @@
 """Evaluable functions on field space and the oscillator-group action.
 
 A ``FieldFunction`` is a pure evaluator plus structural metadata: the
-coefficient table of a polynomial (or of the exponent of an exp-polynomial)
-and an integrability flag.  Functions are evaluated pointwise and
-integrated with tensor-product Gauss-Hermite quadrature.
+``Polynomial`` it evaluates, if it is a polynomial, and an integrability
+flag; on a polynomial, ``integrable`` means that exp of it decays against a
+Gaussian.  Functions are evaluated pointwise and integrated with
+tensor-product Gauss-Hermite quadrature.
+
+``Polynomial`` alone reads an exponent table.  It takes powers by
+multiplication, never by numpy's ``pow``, whose path for negative bases is
+10 times slower and off in the last bit, and its design matrix is
+C-ordered: a fit against a transposed one moves the residual's last digits.
 
 Evaluators work on blocks of points: an (m, n) array, one point per row,
 maps to the (m,) array of values.  ``f.values(points)`` is the batched
@@ -29,6 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -54,67 +61,6 @@ _CHUNK_ROWS = 4096
 _LEADING_FORM_SAMPLES = 100
 
 
-def _power_plan(exponents: np.ndarray) -> tuple:
-    """For each coordinate, for each power d = 1, 2, ... up to its highest
-    exponent, the indices of the terms whose exponent there is d."""
-    return tuple(
-        tuple(np.flatnonzero(e == d).tolist() for d in range(1, e.max(initial=0) + 1))
-        for e in exponents.T
-    )
-
-
-def _monomial_table(X: np.ndarray, plan: tuple, k: int) -> np.ndarray:
-    """(k, m) term-major values of the k monomials planned by ``_power_plan``
-    at the rows of X; each term's row is multiplied in place by the running
-    power of each coordinate, in coordinate order."""
-    table = np.ones((k, len(X)))
-    for x, powers in zip(X.T, plan):
-        power = x
-        for d, terms in enumerate(powers):
-            if d:
-                power = power * x
-            for t in terms:
-                table[t] *= power
-    return table
-
-
-def monomials(X: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """(m, k) values of the monomials x^e, e the rows of ``exponents``, at the
-    rows of X; built one coordinate at a time, with no (m, k, n) temporary.
-
-    Powers come from repeated multiplication, x^d = x^(d-1) * x, and each
-    term takes its power when the running power reaches its exponent, so
-    the extra memory is O(m) whatever the degree. numpy's ``pow`` is not
-    used: with an array exponent it sends negative bases to a scalar path
-    about 10 times slower than its SIMD path for positive ones, and the two
-    paths differ in the last bit. By multiplication, x^e at -x is
-    (-1)^|e| x^e bit for bit.
-
-    The table is built term-major, each term a row along the point axis,
-    and returned as a C-contiguous (m, k) copy: a least-squares fit against
-    a transposed design matrix takes another BLAS path and moves its
-    residual in the last digits.
-    """
-    table = _monomial_table(X, _power_plan(exponents), len(exponents))
-    return np.ascontiguousarray(table.T)
-
-
-def _poly_evaluator(exponents: np.ndarray, coeffs: np.ndarray):
-    """Evaluator of sum_t coeffs[t] x^exponents[t], the terms summed in
-    order from 0.0.  The sum is spelled out: numpy's sum over the term axis
-    of a one-point table would take its pairwise order from 8 terms on."""
-    plan, k = _power_plan(exponents), len(coeffs)
-
-    def evaluator(X):
-        total = np.zeros(len(X))
-        for row, c in zip(_monomial_table(X, plan, k), coeffs):
-            row *= c
-            total += row
-        return total
-
-    return evaluator
-
-
 def _dot(X: np.ndarray, w) -> np.ndarray:
     """X @ w for an (m, n) block, one coordinate column at a time, summed in
     coordinate order from 0.0."""
@@ -130,25 +76,93 @@ def _apply(m: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.stack([_dot(X, row) for row in m]).T
 
 
-def _exp_integrable(exponents: np.ndarray, coeffs: np.ndarray) -> bool:
-    """Whether exp of the polynomial has Gaussian-dominated decay.
+@dataclass(frozen=True, eq=False)
+class Polynomial:
+    """sum_t coeffs[t] x^exponents[t] on R^n, called on an (m, n) block for
+    its (m,) values: ``exponents`` is a read-only (k, n) integer array and
+    ``coeffs`` the read-only (k,) coefficients."""
 
-    Degree <= 1 is always fine (any Gaussian factor dominates); otherwise the
-    maximal total degree must be even with a strictly negative leading form
-    on sampled random directions.
-    """
-    degrees = exponents.sum(axis=1)
-    degree = degrees.max(initial=0)
-    if degree <= 1:
-        return True
-    if degree % 2 != 0:
-        return False
-    leading = degrees == degree
-    dim = exponents.shape[1]
-    u = default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    leading_form = _poly_evaluator(exponents[leading], coeffs[leading])
-    return bool(np.all(leading_form(u) < 0.0))
+    exponents: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("exponents", int), ("coeffs", float)):
+            table = np.array(getattr(self, name), dtype=dtype)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    @classmethod
+    def from_terms(cls, terms, dim: int) -> "Polynomial":
+        """Polynomial from a coefficient table [(exponents, coeff), ...]: the
+        coefficients of equal exponents summed in input order from 0.0, zero
+        sums dropped, the terms sorted by exponents."""
+        sums = {}
+        for exponents, coeff in terms:
+            e = tuple(operator.index(v) for v in exponents)
+            if len(e) != dim or any(v < 0 for v in e):
+                raise DimensionMismatch(f"bad exponent tuple {e} for dimension {dim}")
+            c = sums[e] = sums.get(e, 0.0) + float(coeff)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {e} must be finite, got {c}")
+        kept = sorted(e for e, c in sums.items() if c != 0.0)
+        return cls(np.reshape(kept, (len(kept), dim)), [sums[e] for e in kept])
+
+    @property
+    def terms(self) -> tuple:
+        """The table as ((exponents, coeff), ...), in stored order."""
+        return tuple(zip(map(tuple, self.exponents.tolist()), self.coeffs.tolist()))
+
+    @cached_property
+    def _powers(self) -> tuple:
+        """For each coordinate, for each power d = 1, 2, ... up to its highest
+        exponent, the indices of the terms whose exponent there is d."""
+        return tuple(
+            tuple(np.flatnonzero(e == d).tolist() for d in range(1, e.max(initial=0) + 1))
+            for e in self.exponents.T
+        )
+
+    def _table(self, X: np.ndarray) -> np.ndarray:
+        """(k, m) term-major monomial values at the rows of X: each term's row
+        takes the running power x^d = x^(d-1) * x of each coordinate in place."""
+        table = np.ones((len(self.coeffs), len(X)))
+        for x, powers in zip(X.T, self._powers):
+            power = x
+            for d, terms in enumerate(powers):
+                if d:
+                    power = power * x
+                for t in terms:
+                    table[t] *= power
+        return table
+
+    def design_matrix(self, X: np.ndarray) -> np.ndarray:
+        """C-contiguous (m, k) values of the monomials at the rows of X."""
+        return np.ascontiguousarray(self._table(X).T)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of X, the terms summed in order from 0.0; numpy's
+        sum over a one-point table's terms goes pairwise from 8 terms on."""
+        total = np.zeros(len(X))
+        for row, c in zip(self._table(X), self.coeffs):
+            row *= c
+            total += row
+        return total
+
+    def exp_integrable(self) -> bool:
+        """Whether exp of the polynomial decays against a Gaussian: degree
+        <= 1, or even degree with a negative leading form on sampled
+        directions."""
+        degrees = self.exponents.sum(axis=1)
+        degree = degrees.max(initial=0)
+        if degree <= 1:
+            return True
+        if degree % 2 != 0:
+            return False
+        leading = degrees == degree
+        dim = self.exponents.shape[1]
+        u = default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        leading_form = Polynomial(self.exponents[leading], self.coeffs[leading])
+        return bool(np.all(leading_form(u) < 0.0))
 
 
 @dataclass(frozen=True)
@@ -156,12 +170,12 @@ class FieldFunction:
     """Evaluable real-valued function on R^n.
 
     ``evaluator`` maps a validated (m, n) block of points to its (m,)
-    values.
+    values; ``poly`` is the ``Polynomial`` it evaluates, if it is one.
     """
 
     evaluator: object
     dim: int
-    terms: tuple = None
+    poly: Polynomial | None = None
     integrable: bool = False
 
     def values(self, points) -> np.ndarray:
@@ -173,29 +187,12 @@ class FieldFunction:
 
     @classmethod
     def polynomial(cls, terms, dim: int) -> "FieldFunction":
-        """Polynomial from a coefficient table [(exponents, coeff), ...].
-
-        The ``integrable`` flag records whether exp of the polynomial decays
-        against any Gaussian (the sense used by the convolution routines).
+        """Polynomial from a coefficient table [(exponents, coeff), ...], read
+        by ``Polynomial.from_terms``; ``integrable`` is its ``exp_integrable``.
         """
-        clean = []
-        for exponents, coeff in terms:
-            e = tuple(operator.index(v) for v in exponents)
-            if len(e) != dim or any(v < 0 for v in e):
-                raise DimensionMismatch(f"bad exponent tuple {e} for dimension {dim}")
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient of {e} must be finite, got {c}")
-            if c != 0.0:
-                clean.append((e, c))
-        clean = tuple(sorted(clean))
-        exponents = np.array([e for e, _ in clean], dtype=int).reshape(len(clean), dim)
-        coeffs = np.array([c for _, c in clean])
+        poly = Polynomial.from_terms(terms, dim)
         return cls(
-            evaluator=_poly_evaluator(exponents, coeffs),
-            dim=dim,
-            terms=clean,
-            integrable=_exp_integrable(exponents, coeffs),
+            evaluator=poly, dim=dim, poly=poly, integrable=poly.exp_integrable()
         )
 
     @classmethod
@@ -214,18 +211,13 @@ class FieldFunction:
     @classmethod
     def exp_polynomial(cls, terms, dim: int) -> "FieldFunction":
         """exp of a polynomial, validated for Gaussian-dominated decay."""
-        poly = cls.polynomial(terms, dim)
-        if not poly.integrable:
+        poly = Polynomial.from_terms(terms, dim)
+        if not poly.exp_integrable():
             raise NotIntegrable(
                 "exp-polynomial must have even maximal degree with a "
                 "negative-definite leading form"
             )
-        return cls(
-            evaluator=lambda X: np.exp(poly.evaluator(X)),
-            dim=dim,
-            terms=poly.terms,
-            integrable=True,
-        )
+        return cls(lambda X: np.exp(poly(X)), dim, integrable=True)
 
 
 def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:

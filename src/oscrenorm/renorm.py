@@ -38,10 +38,10 @@ from .errors import (
 )
 from .functions import (
     FieldFunction,
+    Polynomial,
     compose,
     gauss_convolve_exp,
     log_fn,
-    monomials,
 )
 from .oscgroup import UrElement, ur
 from .tensors import (
@@ -317,6 +317,10 @@ def project_polynomial(points, values, degree: int) -> tuple[list, float]:
     degree <= ``degree``, zero coefficients included, sorted by exponents,
     and the root-mean-square residual of the fit.  Intended for reporting
     flow tables, not for feeding back into the flow itself.
+
+    With fewer sample points than monomials the fit is the minimum-norm
+    solution, which interpolates: its residual is rounding noise, and an
+    even interaction can get nonzero odd coefficients.
     """
     pts = np.asarray(points, dtype=float)
     exponents = [
@@ -325,7 +329,7 @@ def project_polynomial(points, values, degree: int) -> tuple[list, float]:
         if sum(e) <= degree
     ]
     exponents.sort(key=lambda e: (sum(e), e))
-    design = monomials(pts, np.array(exponents))
+    design = Polynomial(exponents, np.ones(len(exponents))).design_matrix(pts)
     values = np.asarray(values, dtype=float)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))

@@ -56,7 +56,7 @@ def interaction(n):
 def nine_term_interaction(n):
     """``interaction(n)`` plus terms of degree 1-3, nine terms in all: past
     the seven up to which numpy sums a short axis in term order."""
-    terms = list(interaction(n).terms)
+    terms = list(interaction(n).poly.terms)
     for t in range(9 - len(terms)):
         e = [0] * n
         e[t % n] = 1 + t % 3
@@ -76,7 +76,7 @@ def cases(n):
     return {
         "polynomial": I,
         "nine_term_polynomial": nine_term_interaction(n),
-        "exp_polynomial": FieldFunction.exp_polynomial(I.terms, n),
+        "exp_polynomial": FieldFunction.exp_polynomial(I.poly.terms, n),
         "compose": compose(I, random_gl_pos(rng, n)),
         "sigma_act": sigma_act(I, g),
         "wtilde": wtilde(random_spd(rng, n, 0.3), I, order=q),
@@ -99,6 +99,16 @@ def test_values_match_single_points(n, name):
     # (n, m) array.
     for block in (X, np.asfortranarray(X), np.ascontiguousarray(X.T).T):
         assert_same_as_pointwise(f, block)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poly_is_what_the_function_evaluates(n):
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(6, n))
+    fs = cases(n)
+    assert fs["polynomial"].poly is not None
+    assert fs["exp_polynomial"].poly is None
+    for f in fs.values():
+        assert f.poly is None or f.values(X).tobytes() == f.poly(X).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -127,7 +137,7 @@ def test_wtilde_matches_scalar_loop_reference(n):
     rng = np.random.default_rng(7 + n)
     P, I = random_spd(rng, n, 0.5), interaction(n)
     X = rng.uniform(-1.0, 1.0, size=(5, n))
-    want = [scalar_wtilde(P, I.terms, x, ORDERS[n]) for x in X]
+    want = [scalar_wtilde(P, I.poly.terms, x, ORDERS[n]) for x in X]
     np.testing.assert_allclose(
         wtilde(P, I, order=ORDERS[n]).values(X), want, rtol=1e-12, atol=0.0
     )

@@ -2,13 +2,21 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import oscrenorm
-from oscrenorm import FieldFunction, QuadratureRule, cli
+from oscrenorm import (
+    FieldFunction,
+    QuadratureRule,
+    cli,
+    heat_kernel_base,
+    is_positive_definite,
+)
 from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
 from conftest import write_config
@@ -54,7 +62,7 @@ class TestLoadConfig:
     def test_interaction_terms_round_trip(self, tmp_path):
         config = load_config(write_config(tmp_path))
         expected = FieldFunction.polynomial([((4,), -0.1), ((2,), -0.2)], dim=1)
-        assert config.interaction.terms == expected.terms
+        assert config.interaction.poly.terms == expected.poly.terms
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -175,6 +183,19 @@ class TestFlowCommand:
         check = json.loads(out.read_text())["semigroup_check"]
         assert check["c"] == 4.0
         assert check["max_rel_error"] < 1e-5
+
+    def test_duplicate_exponents_are_merged(self, tmp_path):
+        # -x^4 + x^4 - 0.1 x^2 is the integrable -0.1 x^2.
+        outs = []
+        for name, terms in (
+            ("repeated", [([4], -1.0), ([4], 1.0), ([2], -0.1)]),
+            ("merged", [([2], -0.1)]),
+        ):
+            interaction = {"terms": [{"exponents": e, "coeff": c} for e, c in terms]}
+            cfg = write_config(tmp_path, f"{name}.json", interaction=interaction)
+            outs.append(tmp_path / f"{name}-flow.json")
+            assert main(["flow", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def singular_step_config(self, tmp_path, **overrides):
         # The generator fixes the second axis, so every step at c > 1 has
@@ -501,3 +522,28 @@ class TestBatchedFlow:
             outputs.append(proc.stdout)
         assert b"23/23 checks passed" in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+def readme_json_blocks():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+
+
+class TestReadmeConfig:
+    def test_full_config_runs(self, tmp_path):
+        (config,) = [b for b in readme_json_blocks() if b.startswith("{")]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        table = tmp_path / "table.csv"
+        assert main(["wtilde", "--config", str(cfg), "--out", str(table)]) == 0
+
+    def test_heat_kernel_fragment_builds_a_base(self):
+        (fragment,) = [b for b in readme_json_blocks() if b.startswith('"propagator"')]
+        hk = json.loads("{" + fragment + "}")["propagator"]["heat_kernel"]
+        base = heat_kernel_base(hk["spatial_dim"], hk["sites"], 1.0, hk["mass"])
+        assert base.dim == len(hk["sites"])
+        assert is_positive_definite(base)

@@ -24,7 +24,7 @@ from oscrenorm import (
     sigma_act,
     wtilde,
 )
-from oscrenorm.functions import monomials
+from oscrenorm.functions import Polynomial
 from oscrenorm.gaussian import _hermite, normalization_by_quadrature
 from conftest import random_gl_pos, random_spd
 
@@ -63,11 +63,33 @@ class TestFieldFunction:
         with pytest.raises(TypeError):
             FieldFunction.polynomial([((4.7,), -1.0)], dim=1)
 
+    def test_duplicate_exponents_are_merged(self):
+        # -x^4 + x^4 - 0.1 x^2 is the integrable -0.1 x^2.
+        p = FieldFunction.polynomial([((4,), -1.0), ((4,), 1.0), ((2,), -0.1)], dim=1)
+        assert p.integrable
+        assert p.poly.terms == (((2,), -0.1),)
+        assert p([1.0]) == -0.1
+
+    def test_rejects_merged_coefficient_that_overflows(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            FieldFunction.polynomial([((2,), -1e308), ((2,), -1e308)], dim=1)
+
+    def test_table_is_read_only(self):
+        p = Polynomial.from_terms([((2, 1), 0.5)], dim=2)
+        for table in (p.exponents, p.coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_coefficient(self, bad):
         # A non-finite lower-order term leaves the leading form negative.
         with pytest.raises(ValueError, match="must be finite"):
             FieldFunction.polynomial([((4,), -1.0), ((2,), bad)], dim=1)
+
+
+def monomials(X, E):
+    """The (m, k) design matrix of the monomials x^e, e the rows of E."""
+    return Polynomial(E, np.ones(len(E))).design_matrix(X)
 
 
 class TestMonomials:
@@ -363,7 +385,7 @@ class TestGaussConvolveExp:
     def test_matches_convolve_numeric(self):
         P = Sym2Tensor([[0.5]])
         I = quartic_1d(0.25)
-        exp_I = FieldFunction.exp_polynomial(I.terms, dim=1)
+        exp_I = FieldFunction.exp_polynomial(I.poly.terms, dim=1)
         gp = FieldFunction.gaussian(P)
         rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0]]), order=60)
         out = gauss_convolve_exp(P, I, order=60)
@@ -389,7 +411,7 @@ class TestGaussConvolveExp:
 class TestLogFn:
     def test_inverts_exp(self):
         I = quartic_1d(1.0, 0.5)
-        exp_I = FieldFunction.exp_polynomial(I.terms, dim=1)
+        exp_I = FieldFunction.exp_polynomial(I.poly.terms, dim=1)
         back = log_fn(exp_I)
         for x in (-1.2, 0.0, 0.4):
             assert back([x]) == pytest.approx(I([x]), abs=1e-13)

@@ -30,7 +30,7 @@ from oscrenorm import (
     w_full,
     wtilde,
 )
-from oscrenorm.functions import monomials
+from oscrenorm.functions import Polynomial
 from oscrenorm.oscgroup import sd_mul, ur
 from oscrenorm.renorm import _heat_kernel_integrals, project_polynomial
 from conftest import random_gl_pos, random_spd, write_config
@@ -488,7 +488,8 @@ class TestProjectPolynomial:
         ]
         assert fits[0] == fits[1]
         assert fits[0][1] > 0.0
-        design = monomials(np.asfortranarray(X), np.array([[0, 0], [1, 2], [4, 0]]))
+        basis = Polynomial([[0, 0], [1, 2], [4, 0]], np.ones(3))
+        design = basis.design_matrix(np.asfortranarray(X))
         assert design.shape == (40, 3) and design.flags.c_contiguous
 
     def test_residual_reported_for_nonpolynomial(self):
