@@ -342,6 +342,17 @@ def cmd_wtilde(config: RunConfig, out_path: str) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``verify --seed``: an integer >= 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscrenorm",
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", default="all", help=f"one of {SUITES}")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
 
     p_flow = sub.add_parser("flow", help="emit a renormalization-flow table")
     p_flow.add_argument("--config", required=True)

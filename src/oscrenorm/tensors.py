@@ -197,13 +197,22 @@ class GlElement:
 
     def __post_init__(self):
         m = _as_square(self.matrix, "linear transform")
-        svals = np.linalg.svd(m, compute_uv=False)
+        self._certify(m.copy(), np.linalg.svd(m, compute_uv=False))
+
+    @classmethod
+    def _from_svd(cls, matrix: np.ndarray, svals: np.ndarray) -> "GlElement":
+        """Wrap a finite square matrix the caller owns, given its singular
+        values in descending order, as ``np.linalg.svd`` returns them."""
+        out = object.__new__(cls)
+        out._certify(matrix, svals)
+        return out
+
+    def _certify(self, m: np.ndarray, svals: np.ndarray) -> None:
         if svals[-1] <= SINGULAR_RTOL * svals[0]:
             raise SingularTensor(
                 f"transform is singular to working precision "
                 f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
             )
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         smax = float(svals[0])

@@ -4,14 +4,25 @@ command and the acceptance scorecard (``tests/test_acceptance.py``).
 Each check tests one structural identity of the library (group laws, section
 homomorphisms, the Gaussian convolution semigroup, coarse-graining and the
 flow semigroup) as a per-sample function ``(rng, n) -> error``. ``verify``
-runs it at its registered trial count and dimensions from a seeded
-generator; the scorecard runs it with its own.
+runs it at its registered trial count and dimensions from its own generator,
+keyed by the seed and the check's name, so a check's line depends on nothing
+else; the scorecard runs it with its own counts and generator.
+
+The checks share no state, so a suite runs them on every CPU the process may
+use: it forks one helper per extra CPU and runs checks itself, every process
+takes check indices from one shared pipe, and each helper sends back its
+results, or the exception that stopped it, pickled. The results are put back
+in registry order, so the output does not depend on the CPU count or on
+which process ran which check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +73,11 @@ class Check:
         dims = self.dims if dims is None else dims
         return float(np.max([self.sample(rng, n) for n in dims for _ in range(trials)]))
 
-    def run(self, rng) -> CheckResult:
+    def run(self, seed: int) -> CheckResult:
+        """The check at its registered counts, from a generator keyed by
+        ``seed`` and the name (``zlib.crc32``, which unlike ``hash`` is the
+        same in every process)."""
+        rng = np.random.default_rng([seed, zlib.crc32(self.name.encode())])
         err = self.max_error(rng)
         passed = err > self.tolerance if self.exceeds else err <= self.tolerance
         return CheckResult(self.name, passed, err, self.tolerance)
@@ -78,10 +93,13 @@ def _rel(a, b):
 # ---------------------------------------------------------------------------
 
 def random_gl(rng, n):
+    """Random transform with |det| > 0.1; |det| is the product of the
+    singular values, which the element keeps as its bounds."""
     while True:
         m = rng.normal(size=(n, n))
-        if abs(np.linalg.det(m)) > 0.1:
-            return tn.GlElement(m)
+        svals = np.linalg.svd(m, compute_uv=False)
+        if np.prod(svals) > 0.1:
+            return tn.GlElement._from_svd(m, svals)
 
 
 def random_gl_pos(rng, n):
@@ -408,13 +426,72 @@ def find_check(name: str) -> Check:
     return {c.name: c for suite in CHECKS.values() for c in suite}[name]
 
 
+def _take(todo: int, checks, seed: int) -> dict:
+    """Run the checks whose indices, one byte each, this process reads from
+    the pipe ``todo`` until it is empty; index -> result."""
+    results = {}
+    while index := os.read(todo, 1):
+        results[index[0]] = checks[index[0]].run(seed)
+    return results
+
+
+def _helper(todo: int, reply: int, checks, seed: int):
+    """A forked helper's whole life: take checks, write its results or the
+    exception that stopped it to ``reply``, and exit without running the
+    caller's code, exit handlers or buffered output a second time."""
+    try:
+        try:
+            sent = _take(todo, checks, seed)
+        except BaseException as exc:
+            sent = exc
+        try:
+            payload = pickle.dumps(sent)
+        except Exception:  # an exception that cannot be pickled
+            payload = pickle.dumps(RuntimeError(repr(sent)))
+        with open(reply, "wb") as stream:
+            stream.write(payload)
+    finally:
+        os._exit(0)
+
+
 def _run(suite: str, seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    return [check.run(rng) for check in CHECKS[suite]]
+    """The suite's results in registry order, its checks run in this process
+    and in one forked helper per further usable CPU (none with one CPU)."""
+    checks = CHECKS[suite]
+    todo, feed = os.pipe()
+    os.write(feed, bytes(range(len(checks))))
+    os.close(feed)
+    helpers = []
+    try:
+        for _ in range(min(len(os.sched_getaffinity(0)), len(checks)) - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _helper(todo, write, checks, seed)
+            os.close(write)
+            helpers.append((pid, open(read, "rb")))
+        results = _take(todo, checks, seed)
+        for pid, stream in helpers:
+            payload = stream.read()
+            if not payload:
+                raise RuntimeError(f"verify helper {pid} exited without a reply")
+            sent = pickle.loads(payload)
+            if isinstance(sent, BaseException):
+                raise sent
+            results.update(sent)
+    finally:
+        # On an error, leave the helpers nothing more to take.
+        os.read(todo, len(checks))
+        os.close(todo)
+        for pid, stream in helpers:
+            stream.close()
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(checks))]
 
 
 # One entry point per suite, kept so that a profiler can time each suite by
-# wrapping these names (perfbench/tracing.py does).
+# wrapping these names (perfbench/tracing.py does). A wrapper on a layer
+# function sees only the checks that the calling process runs itself.
 def group_suite(seed: int) -> list[CheckResult]:
     return _run("group", seed)
 
@@ -433,7 +510,7 @@ def renorm_suite(seed: int) -> list[CheckResult]:
 
 def run_suite(name: str, seed: int) -> list[CheckResult]:
     """The results of one suite, or of every suite in registry order for
-    ``"all"``; each suite seeds its own generator."""
+    ``"all"``; each check seeds its own generator."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
     # Built per call, so a wrapper installed on a suite function is seen.

@@ -127,6 +127,15 @@ class TestVerifyCommand:
     def test_named_suite(self, capsys):
         assert main(["verify", "--suite", "group", "--seed", "7"]) == 0
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: oscrenorm verify")
+        assert f"argument --seed: expected an integer >= 0, got '{seed}'" in err
+
 
 class TestFlowCommand:
     def test_produces_valid_json(self, tmp_path):

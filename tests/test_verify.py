@@ -24,11 +24,78 @@ def run_all(seed):
     return run_suite("all", seed)
 
 
+class Boom(Exception):
+    pass
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_each_suite_is_its_block_of_all(seed):
-    # Each suite seeds its own generator, so running it alone changes nothing.
+    # Each check seeds its own generator, so running a suite alone changes
+    # nothing.
     blocks = [run_suite(suite, seed) for suite in CHECKS]
     assert [r for block in blocks for r in block] == run_all(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_check_alone_prints_its_line_of_all(seed):
+    alone = [check.run(seed).line() for suite in CHECKS.values() for check in suite]
+    assert alone == [r.line() for r in run_all(seed)]
+
+
+def test_seed_independent_lines_do_not_depend_on_the_seed():
+    lines = {seed: {r.name: r.line() for r in run_all(seed)} for seed in (0, 7)}
+    for name in ("coarse-grain-composition", "semigroup-law"):
+        assert lines[0][name] == lines[7][name]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}])
+def test_results_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert run_suite("all", 0) == run_all(0)
+
+
+@pytest.mark.parametrize("raiser", ["parent", "helper"])
+def test_error_in_a_check_is_raised_and_helpers_are_reaped(monkeypatch, raiser):
+    # Two usable CPUs, so the suite forks a helper even on a one-CPU host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, osc_mul = os.getpid(), oscgroup.osc_mul
+
+    def failing_mul(g, h):
+        if (os.getpid() == parent) == (raiser == "parent"):
+            raise Boom("osc_mul failed")
+        return osc_mul(g, h)
+
+    monkeypatch.setattr(oscgroup, "osc_mul", failing_mul)
+    with pytest.raises(Boom, match="osc_mul failed"):
+        run_suite("group", 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_helpers_do_not_repeat_buffered_output():
+    # Piped stdout is block-buffered, so the first line is still in the
+    # buffer when the helpers fork; a helper that flushed it on exit would
+    # print it twice. Two usable CPUs, so a helper forks on any host.
+    src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    code = (
+        "import os, sys\n"
+        "from oscrenorm.cli import main\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('verify:')\n"
+        "sys.exit(main(['verify', '--suite', 'all', '--seed', '0']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env,
+        check=True, timeout=300, capture_output=True, text=True,
+    )
+    header, *lines = proc.stdout.splitlines()
+    assert header == "verify:"
+    assert len(lines) == 24
+    assert lines == [r.line() for r in run_all(0)] + [
+        "23/23 checks passed (suite=all, seed=0)"
+    ]
 
 
 def test_all_runs_each_registered_check_once_in_order():
