@@ -73,16 +73,16 @@ def _int(value, key: str) -> int:
     """``value`` if it is a JSON integer. Floats and strings are rejected
     rather than truncated or parsed, and so are ``true`` and ``false``,
     which Python reads as the integers 1 and 0."""
-    _require(type(value) is int, f"{key} must be an integer, not {json.dumps(value)}")
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, not {json.dumps(value)}")
     return value
 
 
 def _number(value, key: str) -> float:
     """``value`` as a float if it is a JSON number. Strings are rejected
     rather than parsed, and so are ``true`` and ``false``."""
-    _require(
-        type(value) in (int, float), f"{key} must be a number, not {json.dumps(value)}"
-    )
+    if type(value) not in (int, float):
+        raise ConfigError(f"{key} must be a number, not {json.dumps(value)}")
     return float(value)
 
 

@@ -16,11 +16,12 @@ C and evaluated by ``an_apply``.  Its image is a commutative subgroup;
 tensor addition is the pointwise (fibrewise) sum of sections, and ``act_sym``
 is the GL(V) action on them, conjugation by (M, 0, 0, 0) after k -> kM.
 
-Public construction of an ``OscElement`` validates every part.  ``osc_mul``,
-``osc_inv`` and ``an_apply`` compute their parts from validated ones, so
-they build the result with the private ``OscElement._from_parts``, which
-re-checks only that k, v and c are finite: an overflow to inf still raises
-the same ``ValueError``.
+Public construction of an ``OscElement`` validates every part and copies k
+and v.  ``osc_mul``, ``osc_inv`` and ``an_apply`` compute their parts from
+validated ones, so they build the result with the private
+``OscElement._from_parts``, which re-checks only that k, v and c are finite:
+an overflow to inf still raises the same ``ValueError``.  Either way the
+element owns its k and v and they are read-only.
 """
 
 from __future__ import annotations
@@ -44,19 +45,31 @@ class OscElement:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k", as_vector(self.k, self.m.dim))
-        object.__setattr__(self, "v", as_vector(self.v, self.m.dim))
+        # Copies, so that the caller's arrays do not alias the element's.
+        k = as_vector(self.k, self.m.dim).copy()
+        v = as_vector(self.v, self.m.dim).copy()
         c = float(self.c)
         if not math.isfinite(c):
             raise ValueError("vector entries must be finite")
+        k.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "v", v)
         object.__setattr__(self, "c", c)
 
     @classmethod
     def _from_parts(cls, m: GlElement, k: np.ndarray, v: np.ndarray, c: float):
-        """Wrap float vectors ``k`` and ``v`` of length ``m.dim`` and a float
-        ``c``, computed from validated elements; only finiteness can fail."""
-        if not (np.isfinite((k, v)).all() and math.isfinite(c)):
+        """Wrap float vectors ``k`` and ``v`` of length ``m.dim``, which the
+        caller owns and no longer writes, and a float ``c``, computed from
+        validated elements or freshly drawn; only finiteness can fail. ``k``
+        and ``v`` become read-only."""
+        # Every group product ends here. For at most 2 MAX_DIM + 1 entries a
+        # loop over Python floats is about four times cheaper than a numpy
+        # isfinite reduction of (k, v), whose call overhead dominates.
+        if not all(map(math.isfinite, [*k.tolist(), *v.tolist(), c])):
             raise ValueError("vector entries must be finite")
+        k.setflags(write=False)
+        v.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "m", m)
         object.__setattr__(out, "k", k)
@@ -107,7 +120,7 @@ def to_matrix(g: OscElement) -> np.ndarray:
 
 def an_apply(C: Sym2Tensor, k) -> OscElement:
     """Value of the annihilation section An(C) at k: (id, k, Ck, kCk/2)."""
-    kv = as_vector(k, C.dim)
+    kv = as_vector(k, C.dim).copy()
     return OscElement._from_parts(
         GlElement.identity(C.dim), kv, C.matrix @ kv, 0.5 * float(kv @ C.matrix @ kv)
     )

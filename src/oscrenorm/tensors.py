@@ -121,10 +121,12 @@ class Sym2Tensor:
     def __post_init__(self):
         m = _as_square(self.matrix, "symmetric 2-tensor")
         # Both norms are taken of m / 32: dividing by a power of two is exact,
-        # and for n <= MAX_DIM a row sum of n differences stays finite.
+        # and for n <= MAX_DIM a row sum of n differences stays finite. They
+        # are the _inf_norm of each half of one stacked block: the row sums
+        # reduce the same contiguous rows, so they match it bit for bit.
         unit = m * 0.03125
-        scale = _inf_norm(unit)
-        asym = _inf_norm(unit - unit.T)
+        block = np.concatenate((unit, unit - unit.T))
+        scale, asym = np.abs(block).sum(axis=1).reshape(2, -1).max(axis=1)
         if asym > SYMMETRY_RTOL * scale:
             raise DimensionMismatch(
                 f"relative matrix asymmetry {asym / scale:.3e} exceeds "
@@ -137,8 +139,9 @@ class Sym2Tensor:
 
     @classmethod
     def _exact(cls, matrix: np.ndarray) -> "Sym2Tensor":
-        """Wrap the entry-by-entry combination of validated symmetric
-        tensors, which is exactly symmetric; only finiteness can fail."""
+        """Wrap an exactly symmetric matrix the caller owns, such as the
+        entry-by-entry combination of validated symmetric tensors; only
+        finiteness can fail."""
         if not np.isfinite(matrix).all():
             raise ValueError("symmetric 2-tensor entries must be finite")
         matrix.setflags(write=False)

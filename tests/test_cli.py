@@ -64,6 +64,28 @@ class TestLoadConfig:
         expected = FieldFunction.polynomial([((4,), -0.1), ((2,), -0.2)], dim=1)
         assert config.interaction.poly.terms == expected.poly.terms
 
+    def test_error_messages_are_built_only_on_failure(self, tmp_path, monkeypatch):
+        # Integer and number fields format their message, json.dumps and
+        # all, only for a value they reject; the messages stay as they were.
+        path, bad_int, bad_number = (
+            write_config(tmp_path),
+            write_config(tmp_path, "int.json", quadrature_order=12.7),
+            write_config(tmp_path, "number.json", fiducial_scale="2"),
+        )
+
+        def refuse(value, *args, **kwargs):
+            raise AssertionError(f"json.dumps({value!r}) for an accepted value")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.json, "dumps", refuse)
+            load_config(path)
+        with pytest.raises(ConfigError) as err:
+            load_config(bad_int)
+        assert str(err.value) == "quadrature_order must be an integer, not 12.7"
+        with pytest.raises(ConfigError) as err:
+            load_config(bad_number)
+        assert str(err.value) == 'fiducial_scale must be a number, not "2"'
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.json"))

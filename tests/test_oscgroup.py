@@ -176,6 +176,44 @@ class TestValidation:
         assert g.m is GlElement.identity(3)
 
 
+class TestOwnership:
+    """An element owns its k and v: no caller's array aliases them, and
+    they are read-only whichever way the element was built."""
+
+    @pytest.mark.parametrize("part", ["k", "v"])
+    def test_public_construction_copies(self, part):
+        parts = {"k": np.array([1.0, 2.0]), "v": np.array([3.0, 4.0])}
+        before = parts[part].copy()
+        g = OscElement(GlElement.identity(2), parts["k"], parts["v"], 0.0)
+        parts[part][0] = 99.0
+        np.testing.assert_array_equal(getattr(g, part), before)
+
+    def test_an_apply_copies_its_source(self):
+        k = np.array([1.0, 2.0])
+        g = an_apply(Sym2Tensor.identity(2), k)
+        k[0] = 99.0
+        np.testing.assert_array_equal(g.k, [1.0, 2.0])
+        np.testing.assert_array_equal(g.v, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g, h: g,
+            lambda g, h: osc_mul(g, h),
+            lambda g, h: osc_inv(g),
+            lambda g, h: an_apply(Sym2Tensor.identity(2), g.k),
+            lambda g, h: OscElement.identity(2),
+        ],
+        ids=["public", "osc_mul", "osc_inv", "an_apply", "identity"],
+    )
+    def test_parts_are_read_only(self, build):
+        g = OscElement(GlElement([[2.0, 1.0], [0.0, 1.0]]), [1.0, 2.0], [3.0, 4.0], 0.5)
+        out = build(g, g)
+        for part in (out.k, out.v):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 99.0
+
+
 class TestAnnihilationSections:
     def test_scalar_example(self):
         g = an_apply(Sym2Tensor([[2.0]]), [3.0])

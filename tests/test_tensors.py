@@ -2,7 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oscrenorm import tensors as tn
 from oscrenorm import (
     DimensionMismatch,
     GlElement,
@@ -173,6 +177,98 @@ class TestConstruction:
     def test_rejects_asymmetry_when_norm_overflows(self, m):
         with pytest.raises(DimensionMismatch):
             Sym2Tensor(m)
+
+
+def _two_norm_reference(matrix):
+    """The symmetry check with one ``_inf_norm`` call per norm: the stored
+    matrix, or the error raised."""
+    m = tn._as_square(matrix, "symmetric 2-tensor")
+    unit = m * 0.03125
+    scale = tn._inf_norm(unit)
+    asym = tn._inf_norm(unit - unit.T)
+    if asym > tn.SYMMETRY_RTOL * scale:
+        raise DimensionMismatch(
+            f"relative matrix asymmetry {asym / scale:.3e} exceeds "
+            f"{tn.SYMMETRY_RTOL:.0e}"
+        )
+    return 0.5 * m + 0.5 * m.T
+
+
+def _outcome(build, matrix):
+    """The stored bits, or the error's type and message."""
+    try:
+        return "stored", build(matrix).tobytes()
+    except (DimensionMismatch, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: Any float (nan, inf, -0.0, subnormals and huge ones included), with the
+#: float maximum's neighbourhood and -0.0 drawn often.
+_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([1.7e308, -1.7e308, 1.6e308, -0.0]),
+    st.floats(-4.0, 4.0),
+)
+
+
+def _at_threshold(m, i, j, ulps):
+    """``m`` with ``m[j, i] = 0`` and ``m[i, j] = d``, its only asymmetric
+    pair: d is a fixed point of ``d = 32 fl(SYMMETRY_RTOL scale)``, so the
+    asymmetry d / 32 equals the rejection threshold exactly, then moved by
+    ``ulps`` units in the last place."""
+    m[i, j] = m[j, i] = 0.0
+    for _ in range(8):
+        m[i, j] = 32.0 * (tn.SYMMETRY_RTOL * tn._inf_norm(m * 0.03125))
+    step = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        m[i, j] = np.nextafter(m[i, j], step)
+    return m
+
+
+@st.composite
+def _near_symmetric(draw, n):
+    """An n x n matrix: arbitrary, exactly symmetric, or symmetric but for
+    one off-diagonal pair whose asymmetry is within a few ulps of the
+    rejection threshold or within a factor 2 of it."""
+    m = draw(hnp.arrays(float, (n, n), elements=_ENTRIES))
+    shape = draw(st.sampled_from(["any", "symmetric", "threshold", "near"]))
+    if shape == "any":
+        return m
+    lower = np.tril_indices(n, -1)
+    m[lower] = m.T[lower]
+    if shape == "symmetric" or n == 1 or not np.isfinite(m).all():
+        return m
+    i, j = draw(st.permutations(range(n)))[:2]
+    if shape == "threshold":
+        return _at_threshold(m, i, j, draw(st.integers(-2, 2)))
+    threshold = 32.0 * tn.SYMMETRY_RTOL * tn._inf_norm(m * 0.03125)
+    with np.errstate(over="ignore"):  # an entry at the float maximum
+        m[i, j] += draw(st.floats(0.5, 2.0)) * threshold
+    return m
+
+
+class TestOneReductionSymmetryCheck:
+    """``Sym2Tensor`` takes both of its norms from one reduction over the
+    stacked block; it accepts, rejects and stores exactly as the two
+    separate ``_inf_norm`` calls do. n = 8 takes numpy's unrolled row sum."""
+
+    @pytest.mark.parametrize("n", range(1, tn.MAX_DIM + 1))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_two_norm_reference(self, n, data):
+        m = data.draw(_near_symmetric(n))
+        built = _outcome(lambda x: Sym2Tensor(x).matrix, m)
+        assert built == _outcome(_two_norm_reference, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("off_diagonal", [1.0, -0.0, 1.7e308])
+    @pytest.mark.parametrize("ulps, accepted", [(0, True), (1, False)])
+    def test_exact_threshold(self, n, off_diagonal, ulps, accepted):
+        m = np.where(np.eye(n, dtype=bool), 1.0, off_diagonal)
+        m = _at_threshold(m, 0, n - 1, ulps)
+        outcome = _outcome(lambda x: Sym2Tensor(x).matrix, m)
+        assert outcome == _outcome(_two_norm_reference, m)
+        assert (outcome[0] == "stored") == accepted
 
 
 class TestCachedIdentity:

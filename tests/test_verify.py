@@ -14,9 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscrenorm
-from oscrenorm import oscgroup
+from oscrenorm import oscgroup, tensors
 from oscrenorm.cli import cmd_verify, main
-from oscrenorm.verify import CHECKS, SUITES, element_gap, find_check, run_suite
+from oscrenorm.verify import (
+    CHECKS,
+    SUITES,
+    element_gap,
+    find_check,
+    random_gl,
+    random_osc,
+    random_sym,
+    run_suite,
+)
 
 
 @functools.cache
@@ -156,3 +165,45 @@ def test_verify_output_independent_of_warm_caches():
         capture_output=True,
     )
     assert outputs[0] == outputs[1] == fresh.stdout
+
+
+def _bits(g):
+    """An element's parts as bytes and exact hex, so -0.0 differs from 0.0."""
+    return g.m.matrix.tobytes(), g.k.tobytes(), g.v.tobytes(), type(g.c), g.c.hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trusted_draws_match_public_construction(n):
+    # The sample helpers skip the public validation; the public constructors
+    # must store the same bits from the same draws.
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = ref.normal(size=(n, n))
+        public = tensors.Sym2Tensor(0.5 * (a + a.T))
+        assert random_sym(rng, n).matrix.tobytes() == public.matrix.tobytes()
+        g = random_osc(rng, n)
+        public = oscgroup.OscElement(
+            random_gl(ref, n), ref.normal(size=n), ref.normal(size=n), ref.normal()
+        )
+        assert _bits(g) == _bits(public)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-embedding", "section-conjugation"])
+def test_elements_built_from_parts_match_public_construction(monkeypatch, name):
+    # Every element these checks build with _from_parts, from parts they drew
+    # or computed, equals the public construction from the same parts.
+    from_parts, pairs = oscgroup.OscElement._from_parts.__func__, []
+
+    def spy(cls, m, k, v, c):
+        public = oscgroup.OscElement(m, k, v, c)
+        pairs.append((from_parts(cls, m, k, v, c), public))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(oscgroup.OscElement, "_from_parts", classmethod(spy))
+    sample = find_check(name).sample
+    for seed in range(20):
+        for n in (1, 2, 3):
+            sample(np.random.default_rng(seed), n)
+    assert pairs
+    for trusted, public in pairs:
+        assert _bits(trusted) == _bits(public)
