@@ -8,12 +8,13 @@ runs it at its registered trial count and dimensions from its own generator,
 keyed by the seed and the check's name, so a check's line depends on nothing
 else; the scorecard runs it with its own counts and generator.
 
-The checks share no state, so a suite runs them on every CPU the process may
-use: it forks one helper per extra CPU and runs checks itself, every process
-takes check indices from one shared pipe, and each helper sends back its
-results, or the exception that stopped it, pickled. The results are put back
-in registry order, so the output does not depend on the CPU count or on
-which process ran which check.
+The checks share no state, so a run, of one suite or of all of them, spreads
+its checks over every CPU the process may use. It forks one helper per extra
+CPU once per run, not once per suite, and runs checks itself. Every process
+takes check indices from one shared pipe until all are done, and each helper
+sends back its results, or the exception that stopped it, pickled. The
+results are put back in registry order, so the output does not depend on
+the CPU count or on which process ran which check.
 """
 
 from __future__ import annotations
@@ -461,10 +462,9 @@ def _helper(todo: int, reply: int, checks, seed: int):
         os._exit(0)
 
 
-def _run(suite: str, seed: int) -> list[CheckResult]:
-    """The suite's results in registry order, its checks run in this process
-    and in one forked helper per further usable CPU (none with one CPU)."""
-    checks = CHECKS[suite]
+def _run(checks: tuple, seed: int) -> list[CheckResult]:
+    """The checks' results in order, run in this process and in one forked
+    helper per further usable CPU (none with one CPU)."""
     todo, feed = os.pipe()
     os.write(feed, bytes(range(len(checks))))
     os.close(feed)
@@ -496,38 +496,11 @@ def _run(suite: str, seed: int) -> list[CheckResult]:
     return [results[i] for i in range(len(checks))]
 
 
-# One entry point per suite, kept so that a profiler can time each suite by
-# wrapping these names (perfbench/tracing.py does). A wrapper on a layer
-# function sees only the checks that the calling process runs itself.
-def group_suite(seed: int) -> list[CheckResult]:
-    return _run("group", seed)
-
-
-def gaussian_suite(seed: int) -> list[CheckResult]:
-    return _run("gaussian", seed)
-
-
-def convolution_suite(seed: int) -> list[CheckResult]:
-    return _run("convolution", seed)
-
-
-def renorm_suite(seed: int) -> list[CheckResult]:
-    return _run("renorm", seed)
-
-
 def run_suite(name: str, seed: int) -> list[CheckResult]:
     """The results of one suite, or of every suite in registry order for
-    ``"all"``; each check seeds its own generator."""
+    ``"all"``; each check seeds its own generator, and one round of helpers
+    runs every requested check."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
-    # Built per call, so a wrapper installed on a suite function is seen.
-    dispatch = {
-        "group": group_suite,
-        "gaussian": gaussian_suite,
-        "convolution": convolution_suite,
-        "renorm": renorm_suite,
-    }
-    results = []
-    for suite in CHECKS if name == "all" else (name,):
-        results.extend(dispatch[suite](seed))
-    return results
+    suites = CHECKS.values() if name == "all" else (CHECKS[name],)
+    return _run(tuple(c for suite in suites for c in suite), seed)

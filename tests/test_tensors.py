@@ -364,6 +364,38 @@ class TestGlProductCheck:
             A @ A
         assert str(product.value) == str(public.value)
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_non_finite_product_raises_as_public_construction(self, entry, certified):
+        # 1e200-scale factors overflow to inf. Finite factors give no NaN
+        # through a fused multiply-add product, so the NaN case plants one in
+        # the factor. Certified bounds on the factor leave only the
+        # finiteness test to send the product to the public constructor.
+        A = GlElement(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        if entry == "nan":
+            object.__setattr__(A, "matrix", np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        if certified:
+            object.__setattr__(A, "_smin", 1.0)
+            object.__setattr__(A, "_smax", 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = A.matrix @ A.matrix
+            assert getattr(np, f"is{entry}")(raw).any()
+            with pytest.raises(ValueError) as public:
+                GlElement(raw)
+            with pytest.raises(ValueError) as product:
+                A @ A
+        assert str(product.value) == str(public.value)
+
+    def test_certified_product_keeps_bits_and_bounds(self, rng, monkeypatch):
+        A, B = random_gl(rng, 3), random_gl(rng, 3)
+        # No SVD: the product is certified from its factors' bounds.
+        monkeypatch.setattr(np.linalg, "svd", None)
+        C = A @ B
+        assert C.matrix.tobytes() == (A.matrix @ B.matrix).tobytes()
+        top = A._smax * B._smax
+        slack = (9 * tn._EPS / (1.0 - 3 * tn._EPS) + 4.0 * tn._EPS) * top
+        assert (C._smin, C._smax) == (A._smin * B._smin - slack, top + slack)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stored_bounds_bracket_singular_values(self, rng, monkeypatch, n):
         # Diagonal factors make sigma_min(AB) = sigma_min(A) sigma_min(B)

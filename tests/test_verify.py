@@ -1,9 +1,11 @@
 """The check registry shared by ``oscrenorm verify`` and the acceptance
-scorecard, and the suite contract the CLI and profilers rely on."""
+scorecard, and the suite contract the CLI relies on: a suite's lines are its
+block of ``all``, whatever the CPU count, from one round of helpers."""
 
 import functools
 import io
 import os
+import select
 import subprocess
 import sys
 import types
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscrenorm
-from oscrenorm import oscgroup, tensors
+from oscrenorm import functions, oscgroup, tensors
 from oscrenorm.cli import cmd_verify, main
 from oscrenorm.verify import (
     CHECKS,
@@ -63,20 +65,62 @@ def test_results_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     assert run_suite("all", 0) == run_all(0)
 
 
-@pytest.mark.parametrize("raiser", ["parent", "helper"])
-def test_error_in_a_check_is_raised_and_helpers_are_reaped(monkeypatch, raiser):
-    # Two usable CPUs, so the suite forks a helper even on a one-CPU host.
+@pytest.mark.parametrize("cpus, helpers", [({0}, 0), ({0, 1}, 1)])
+def test_one_run_forks_its_helpers_once(monkeypatch, cpus, helpers):
+    # The four suites of "all" share one round of helpers.
+    expected = run_all(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    fork, forked = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert run_suite("all", 0) == expected
+    assert len(forked) == helpers
+
+
+@pytest.mark.parametrize("raiser, module, name, suite", [
+    pytest.param("parent", oscgroup, "osc_mul", "group", id="parent"),
+    pytest.param("helper", oscgroup, "osc_mul", "group", id="helper"),
+    # A check of a later suite fails while the group checks still run.
+    pytest.param(
+        "parent", functions, "convolve_numeric", "all", id="later-suite-parent"
+    ),
+    pytest.param(
+        "helper", functions, "convolve_numeric", "all", id="later-suite-helper"
+    ),
+])
+def test_error_in_a_check_is_raised_and_helpers_are_reaped(
+    monkeypatch, raiser, module, name, suite
+):
+    # Two usable CPUs, so the run forks a helper even on a one-CPU host.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    parent, osc_mul = os.getpid(), oscgroup.osc_mul
+    parent, original = os.getpid(), getattr(module, name)
+    # The other process waits in its first call until the raiser has called
+    # (at most 30 s), so the raiser reaches the function even when few
+    # checks call it.
+    raised_r, raised_w = os.pipe()
+    waited = []
 
-    def failing_mul(g, h):
+    def failing(*args, **kwargs):
         if (os.getpid() == parent) == (raiser == "parent"):
-            raise Boom("osc_mul failed")
-        return osc_mul(g, h)
+            os.write(raised_w, b"!")
+            raise Boom(f"{name} failed")
+        if not waited:
+            waited.append(select.select([raised_r], [], [], 30))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(oscgroup, "osc_mul", failing_mul)
-    with pytest.raises(Boom, match="osc_mul failed"):
-        run_suite("group", 0)
+    monkeypatch.setattr(module, name, failing)
+    try:
+        with pytest.raises(Boom, match=f"{name} failed"):
+            run_suite(suite, 0)
+    finally:
+        os.close(raised_r)
+        os.close(raised_w)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
