@@ -11,7 +11,6 @@ from .errors import (
     NonPositiveConvolution,
     NonPositiveDeterminant,
     NonPositiveScale,
-    NonPositiveValue,
     NotIntegrable,
     NotPositiveDefinite,
     OscRenormError,
@@ -24,8 +23,6 @@ from .functions import (
     QuadratureRule,
     compose,
     convolve_numeric,
-    gauss_convolve_exp,
-    log_fn,
     sigma_act,
 )
 from .gaussian import (

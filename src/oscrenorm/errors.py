@@ -33,12 +33,8 @@ class UnsupportedOrder(OscRenormError):
     """Gauss-Hermite weights at this order are not all finite and positive."""
 
 
-class NonPositiveValue(OscRenormError):
-    """Logarithm requested of a non-positive function value."""
-
-
 class NonPositiveConvolution(OscRenormError):
-    """Defensive guard: a convolution of positive functions came out <= 0."""
+    """The log of a convolution of exp o I is not finite at a point."""
 
 
 class DivergentIntegral(OscRenormError):

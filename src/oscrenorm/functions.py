@@ -1,4 +1,5 @@
-"""Evaluable functions on field space and the oscillator-group action.
+"""Evaluable functions on field space, the oscillator-group action and the
+interaction generating function ``wtilde``.
 
 A ``FieldFunction`` is a pure evaluator plus structural metadata: the
 ``Polynomial`` it evaluates, if it is a polynomial, and an integrability
@@ -40,15 +41,10 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import (
-    DimensionMismatch,
-    NonPositiveConvolution,
-    NonPositiveValue,
-    NotIntegrable,
-)
+from .errors import DimensionMismatch, NonPositiveConvolution, NotIntegrable
 # default_order stays importable from here: perfbench/tracing.py reads
 # functions.default_order to count the nodes of default-order convolutions.
-from .gaussian import GaussianMeasure, QuadratureRule, _weighted_sums
+from .gaussian import GaussianMeasure, QuadratureRule, _shifted_terms, _weighted_sums
 from .gaussian import default_order  # noqa: F401
 from .oscgroup import OscElement
 from .tensors import GlElement, Sym2Tensor, as_block, as_vector
@@ -210,11 +206,13 @@ class FieldFunction:
 
     @classmethod
     def exp_polynomial(cls, terms, dim: int) -> "FieldFunction":
-        """exp of a polynomial, validated for Gaussian-dominated decay."""
+        """exp of a polynomial, validated for integrability on R^n: exp of
+        degree <= 1 decays against a Gaussian, but is not integrable alone."""
         poly = Polynomial.from_terms(terms, dim)
-        if not poly.exp_integrable():
+        degree = poly.exponents.sum(axis=1).max(initial=0)
+        if degree <= 1 or not poly.exp_integrable():
             raise NotIntegrable(
-                "exp-polynomial must have even maximal degree with a "
+                "exp-polynomial must have even maximal degree >= 2 with a "
                 "negative-definite leading form"
             )
         return cls(lambda X: np.exp(poly(X)), dim, integrable=True)
@@ -269,23 +267,28 @@ def convolve_numeric(
     return float(_weighted_sums(log_weights, log_ratio[None, :], xv[None, :], signs)[0])
 
 
-def gauss_convolve_exp(
-    P: Sym2Tensor, I: FieldFunction, *, order: int | None = None
-) -> FieldFunction:
-    """The convolution N(P) * (exp o I) as an evaluable function.
+def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFunction:
+    """Interaction part of the generating function, log(N(P) * exp o I).
 
-    Computed at each point as the expectation of exp(I(x - y)) over
-    y ~ N(0, P), via Hermite nodes transformed by the Cholesky factor of P;
-    a P that is not positive definite fails its ``GaussianMeasure`` with
-    NotPositiveDefinite.
+    A zero covariance acts as the delta for convolution, so wtilde(0, I)
+    returns I unchanged.  Otherwise a point's value is the log of the
+    expectation of exp(I(x - y)) over y ~ N(0, P), via Hermite nodes
+    transformed by the Cholesky factor of P, taken in the log domain as
+    shift + log(sum(exp(log_w + I(x - y) - shift))) with the terms of
+    ``gaussian._shifted_terms``; a P that is not positive definite fails
+    its ``GaussianMeasure`` with NotPositiveDefinite.  A point whose value
+    is not finite (every term 0, or a term inf or NaN) raises
+    NonPositiveConvolution.
     A block of points is taken in chunks of max(1, ``_CHUNK_ROWS`` // q^n)
-    points, i.e. at most max(``_CHUNK_ROWS``, q^n) (point, node) rows, each
-    reduced by ``gaussian._weighted_sums``.  A chunk's shifted block is
-    built column by column from the (n, q^n) node columns, point-major as
-    in the rule's reduction order, and passed on Fortran-ordered.
+    points, i.e. at most max(``_CHUNK_ROWS``, q^n) (point, node) rows.  A
+    chunk's shifted block is built column by column from the (n, q^n) node
+    columns, point-major as in the rule's reduction order, and passed on
+    Fortran-ordered.
     """
     if P.dim != I.dim:
         raise DimensionMismatch(f"dimension mismatch: {P.dim} vs {I.dim}")
+    if P.is_zero():
+        return I
     if not I.integrable:
         raise NotIntegrable("interaction is not exp-integrable")
     rule = QuadratureRule.for_covariance(P, order)
@@ -298,28 +301,17 @@ def gauss_convolve_exp(
             x = X[lo:lo + per_chunk]
             shifted = (x.T[:, :, None] - cols[:, None, :]).reshape(P.dim, -1).T
             log_values = I.evaluator(shifted).reshape(len(x), -1)
-            value = _weighted_sums(log_weights, log_values, x)
-            bad = np.flatnonzero(~(value > 0.0))
+            shift, terms = _shifted_terms(log_weights, log_values)
+            # An all-zero row takes log 0 = -inf, and fails the guard below.
+            with np.errstate(divide="ignore"):
+                value = shift + np.log(np.sum(terms, axis=1))
+            bad = np.flatnonzero(~np.isfinite(value))
             if bad.size:
                 raise NonPositiveConvolution(
-                    "Gaussian convolution of a positive integrand came out <= 0 "
+                    "log of the Gaussian convolution of exp o I is not finite "
                     f"at {x[bad[0]]}"
                 )
             out[lo:lo + per_chunk] = value
         return out
 
     return FieldFunction(evaluator, P.dim, integrable=True)
-
-
-def log_fn(f: FieldFunction) -> FieldFunction:
-    """Pointwise natural log; raises at evaluation on non-positive values."""
-
-    def evaluator(X):
-        values = f.evaluator(X)
-        bad = np.flatnonzero(values <= 0.0)
-        if bad.size:
-            i = bad[0]
-            raise NonPositiveValue(f"log of non-positive value {values[i]} at {X[i]}")
-        return np.log(values)
-
-    return FieldFunction(evaluator, f.dim, integrable=f.integrable)

@@ -7,7 +7,8 @@ log domain (log-normalizer plus quadratic form).  ``GaussianMeasure`` is
 the one place a covariance is checked and factored.  Expectations under
 N(C) are taken with a tensor-product Gauss-Hermite ``QuadratureRule``
 built on its measure's Cholesky factor, and every weighted sum over its
-nodes is reduced by ``_weighted_sums``.
+nodes is shifted by its peak in ``_shifted_terms``: ``_weighted_sums``
+takes the linear sum, the generating function its log.
 """
 
 from __future__ import annotations
@@ -139,26 +140,37 @@ class QuadratureRule:
         return cls(nodes=nodes, weights=weights, measure=measure)
 
 
-#: log of the largest weighted integrand term a reduction accepts.
+#: log of the largest weighted integrand term a linear reduction accepts.
 _OVERFLOW_LOG = 700.0
+
+
+def _shifted_terms(log_weights, log_values) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (m, q) block of log-integrand values, one row per point,
+    the shift and the terms exp(e - shift), e = log_weights + log_values.
+
+    The shift is the row's peak, or 0 for an all-zero row (peak -inf), whose
+    terms then stay 0.  A row with a NaN or +inf term gets NaN terms, which
+    every caller rejects."""
+    e = log_weights + log_values
+    peak = e.max(axis=1)
+    shift = np.where(np.isneginf(peak), 0.0, peak)
+    with np.errstate(invalid="ignore"):
+        return shift, np.exp(e - shift[:, None])
 
 
 def _weighted_sums(log_weights, log_values, points, signs=None) -> np.ndarray:
     """Per row of an (m, q) block of log-integrand values, one row per point,
-    the weighted sum exp(peak) * sum(sign * exp(e - peak)), e = log_weights
-    + log_values; an all-zero row sums to 0.  Raises QuadratureOverflow,
-    naming the row's point, when its peak exceeds ``_OVERFLOW_LOG``."""
-    e = log_weights + log_values
-    peak = e.max(axis=1)
-    hot = np.flatnonzero(peak > _OVERFLOW_LOG)
+    the linear weighted sum exp(shift) * sum(sign * terms) of
+    ``_shifted_terms``; an all-zero row sums to 0.  Raises
+    QuadratureOverflow, naming the row's point, when its peak exceeds
+    ``_OVERFLOW_LOG``."""
+    shift, terms = _shifted_terms(log_weights, log_values)
+    hot = np.flatnonzero(shift > _OVERFLOW_LOG)
     if hot.size:
         i = hot[0]
         raise QuadratureOverflow(
-            f"integrand magnitude exp({peak[i]:.1f}) at a node for the point {points[i]}"
+            f"integrand magnitude exp({shift[i]:.1f}) at a node for the point {points[i]}"
         )
-    # An all-zero row has peak -inf; a shift of 0 keeps its terms at 0.
-    shift = np.where(np.isneginf(peak), 0.0, peak)
-    terms = np.exp(e - shift[:, None])
     if signs is not None:
         terms *= signs
     return np.exp(shift) * np.sum(terms, axis=1)

@@ -36,13 +36,8 @@ from .errors import (
     NonPositiveScale,
     NotPositiveDefinite,
 )
-from .functions import (
-    FieldFunction,
-    Polynomial,
-    compose,
-    gauss_convolve_exp,
-    log_fn,
-)
+# wtilde lives next to the chunked convolution it evaluates.
+from .functions import FieldFunction, Polynomial, compose, wtilde
 from .oscgroup import UrElement, ur
 from .tensors import (
     GlElement,
@@ -242,17 +237,6 @@ def _heat_kernel_integrals(d: int, r2: np.ndarray, L0: float, m: float) -> np.nd
         f"heat-kernel integral did not converge to {_HK_RTOL:g} at step {h:g} "
         f"(spatial_dim = {d}, mass = {m!r}, L0 = {L0!r})"
     )
-
-
-def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFunction:
-    """Interaction part of the generating function, log(N(P) * exp o I).
-
-    A zero covariance acts as the delta for convolution, so wtilde(0, I)
-    returns I unchanged.
-    """
-    if P.is_zero():
-        return I
-    return log_fn(gauss_convolve_exp(P, I, order=order))
 
 
 def w_full(P: Sym2Tensor, I: FieldFunction, J, order: int | None = None) -> float:

@@ -16,16 +16,12 @@ from oscrenorm import (
     FieldFunction,
     GaussianMeasure,
     NonPositiveConvolution,
-    NonPositiveValue,
     OscElement,
     PropagatorFamily,
-    QuadratureOverflow,
     QuadratureRule,
     Sym2Tensor,
     as_vector,
     compose,
-    gauss_convolve_exp,
-    log_fn,
     renorm_step,
     sigma_act,
     wtilde,
@@ -144,7 +140,7 @@ def test_wtilde_matches_scalar_loop_reference(n):
 
 
 def test_batch_longer_than_a_chunk():
-    out = gauss_convolve_exp(Sym2Tensor([[1.0]]), interaction(1), order=10)
+    out = wtilde(Sym2Tensor([[1.0]]), interaction(1), order=10)
     per_chunk = functions._CHUNK_ROWS // 10
     X = np.linspace(-2.0, 2.0, 2 * per_chunk + 7)[:, None]
     assert_same_as_pointwise(out, X)
@@ -170,27 +166,30 @@ def hot_beyond(threshold, value):
     )
 
 
-def test_one_overflowing_row_raises():
-    out = gauss_convolve_exp(Sym2Tensor([[1.0]]), hot_beyond(5.0, 800.0), order=10)
-    X = np.zeros((1000, 1))
+def test_one_large_row_is_exact():
+    # exp(800) overflows a linear sum; its log is 800 plus the zero row's.
+    P, X = Sym2Tensor([[1.0]]), np.zeros((1000, 1))
     X[700] = 12.0
-    with pytest.raises(QuadratureOverflow, match="12"):
-        out.values(X)
-    np.testing.assert_allclose(out.values(np.delete(X, 700, axis=0)), 1.0, rtol=1e-12)
+    hot = wtilde(P, hot_beyond(5.0, 800.0), order=10).values(X)
+    cold = wtilde(P, hot_beyond(5.0, 0.0), order=10).values(X)
+    np.testing.assert_allclose(hot - cold, 800.0 * (X[:, 0] > 5.0), rtol=0.0, atol=1e-12)
 
 
 def test_one_nonpositive_convolution_row_raises():
-    out = gauss_convolve_exp(Sym2Tensor([[1.0]]), hot_beyond(5.0, np.nan), order=10)
+    out = wtilde(Sym2Tensor([[1.0]]), hot_beyond(5.0, np.nan), order=10)
     X = np.zeros((1000, 1))
     X[300] = 12.0
     with pytest.raises(NonPositiveConvolution, match="12"):
         out.values(X)
 
 
-def test_nonpositive_value_names_the_point():
-    identity = FieldFunction(evaluator=lambda X: X[:, 0].copy(), dim=1)
-    with pytest.raises(NonPositiveValue, match=r"at \[-3\.5\]"):
-        log_fn(identity).values([[1.0], [2.0], [-3.5], [4.0]])
+@pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+def test_nonfinite_log_sum_names_its_point(value):
+    # Every term 0, a term inf, a term NaN; pytest turns any numpy
+    # RuntimeWarning into a failure.
+    out = wtilde(Sym2Tensor([[1.0]]), hot_beyond(-100.0, value), order=10)
+    with pytest.raises(NonPositiveConvolution, match=r"at \[-3\.5\]"):
+        out.values([[-200.0], [-150.0], [-3.5], [4.0]])
 
 
 @pytest.mark.parametrize(
@@ -221,6 +220,6 @@ def test_chunks_bound_the_integrand_rows():
         return base.evaluator(X)
 
     I = FieldFunction(evaluator=recording, dim=1, integrable=True)
-    gauss_convolve_exp(Sym2Tensor([[1.0]]), I, order=10).values(np.zeros((1000, 1)))
+    wtilde(Sym2Tensor([[1.0]]), I, order=10).values(np.zeros((1000, 1)))
     assert max(rows) <= functions._CHUNK_ROWS
     assert sum(rows) == 1000 * 10

@@ -19,7 +19,7 @@ from oscrenorm import (
 )
 from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
-from conftest import write_config
+from conftest import base_config, write_config
 
 
 def config_4d():
@@ -227,6 +227,24 @@ class TestFlowCommand:
             outs.append(tmp_path / f"{name}-flow.json")
             assert main(["flow", "--config", cfg, "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_large_negative_constant_shifts_every_sample(self, tmp_path):
+        # exp(-800) underflows to 0; the flow stays in the log domain.
+        outs = {}
+        for a in (0.0, -800.0):
+            terms = base_config()["interaction"]["terms"] + [
+                {"exponents": [0], "coeff": a}
+            ]
+            cfg = write_config(
+                tmp_path, f"config{a}.json", interaction={"terms": terms},
+                semigroup_check_c=4.0,
+            )
+            out = tmp_path / f"flow{a}.json"
+            assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+            outs[a] = json.loads(out.read_text())["records"]
+        for shifted, record in zip(outs[-800.0], outs[0.0]):
+            for s, r in zip(shifted["samples"], record["samples"]):
+                assert s["value"] - r["value"] == pytest.approx(-800.0, abs=1e-12)
 
     def singular_step_config(self, tmp_path, **overrides):
         # The generator fixes the second axis, so every step at c > 1 has

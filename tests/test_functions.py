@@ -9,7 +9,6 @@ from oscrenorm import (
     FieldFunction,
     GaussianMeasure,
     GlElement,
-    NonPositiveValue,
     NotIntegrable,
     OscElement,
     QuadratureOverflow,
@@ -18,8 +17,6 @@ from oscrenorm import (
     UnsupportedOrder,
     compose,
     convolve_numeric,
-    gauss_convolve_exp,
-    log_fn,
     osc_mul,
     sigma_act,
     wtilde,
@@ -157,6 +154,13 @@ class TestIntegrabilityFlag:
             FieldFunction.exp_polynomial([((4,), 1.0)], dim=1)
         f = FieldFunction.exp_polynomial([((2,), -0.5)], dim=1)
         assert f([2.0]) == pytest.approx(math.exp(-2.0))
+
+    @pytest.mark.parametrize("terms", [[((1,), 0.3)], [((0,), 0.0)], [((0,), -1.0)]])
+    def test_exp_polynomial_rejects_degree_at_most_one(self, terms):
+        # exp of such a polynomial decays against a Gaussian, but its
+        # integral over R diverges.
+        with pytest.raises(NotIntegrable):
+            FieldFunction.exp_polynomial(terms, dim=1)
 
 
 def count_linalg(monkeypatch) -> dict:
@@ -367,20 +371,21 @@ class TestConvolveNumeric:
 
 
 class TestGaussConvolveExp:
+    """N(P) * exp o I, in the log form that ``wtilde`` returns."""
+
     def test_quadratic_closed_form(self):
-        # N(p) * exp(-a x^2 / 2) = (1 + a p)^{-1/2} exp(-a x^2 / (2 (1 + a p)))
+        # log(N(p) * exp(-a x^2 / 2)) = -a x^2 / (2 (1 + a p)) - log(1 + a p) / 2
         p, a = 0.7, 0.9
         I = FieldFunction.polynomial([((2,), -0.5 * a)], dim=1)
-        out = gauss_convolve_exp(Sym2Tensor([[p]]), I)
+        out = wtilde(Sym2Tensor([[p]]), I)
         for x in (-2.0, 0.0, 0.3, 1.5):
-            expected = math.exp(-0.5 * a * x * x / (1.0 + a * p)) / math.sqrt(
-                1.0 + a * p
-            )
-            assert out(np.array([x])) == pytest.approx(expected, rel=1e-10)
+            expected = -0.5 * a * x * x / (1.0 + a * p) - 0.5 * math.log1p(a * p)
+            assert out(np.array([x])) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_zero_interaction_gives_one(self):
-        out = gauss_convolve_exp(Sym2Tensor([[2.0]]), FieldFunction.zero(1))
-        assert out(np.array([1.2])) == pytest.approx(1.0, rel=1e-12)
+        # N(P) * exp(0) = 1, whose log is 0.
+        out = wtilde(Sym2Tensor([[2.0]]), FieldFunction.zero(1))
+        assert out(np.array([1.2])) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_convolve_numeric(self):
         P = Sym2Tensor([[0.5]])
@@ -388,35 +393,20 @@ class TestGaussConvolveExp:
         exp_I = FieldFunction.exp_polynomial(I.poly.terms, dim=1)
         gp = FieldFunction.gaussian(P)
         rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0]]), order=60)
-        out = gauss_convolve_exp(P, I, order=60)
+        out = wtilde(P, I, order=60)
         for x in (0.0, 0.8):
-            assert out(np.array([x])) == pytest.approx(
+            assert math.exp(out(np.array([x]))) == pytest.approx(
                 convolve_numeric(gp, exp_I, rule, [x]), rel=1e-5
             )
 
     def test_rejects_nonintegrable(self):
         p = FieldFunction.polynomial([((4,), 1.0)], dim=1)
         with pytest.raises(NotIntegrable):
-            gauss_convolve_exp(Sym2Tensor([[1.0]]), p)
+            wtilde(Sym2Tensor([[1.0]]), p)
 
-    def test_overflow_guard(self):
-        I = FieldFunction(
-            evaluator=lambda X: np.full(len(X), 800.0), dim=1, integrable=True
-        )
-        out = gauss_convolve_exp(Sym2Tensor([[1.0]]), I, order=10)
-        with pytest.raises(QuadratureOverflow):
-            out(np.array([0.0]))
-
-
-class TestLogFn:
-    def test_inverts_exp(self):
-        I = quartic_1d(1.0, 0.5)
-        exp_I = FieldFunction.exp_polynomial(I.poly.terms, dim=1)
-        back = log_fn(exp_I)
-        for x in (-1.2, 0.0, 0.4):
-            assert back([x]) == pytest.approx(I([x]), abs=1e-13)
-
-    def test_rejects_nonpositive(self):
-        f = FieldFunction.constant(-1.0, 1)
-        with pytest.raises(NonPositiveValue):
-            log_fn(f)([0.0])
+    def test_constant_800_is_exact(self):
+        # exp(800) overflows a linear sum; its log is 800 plus the value for 0.
+        P = Sym2Tensor([[1.0]])
+        hot = wtilde(P, FieldFunction.constant(800.0, 1), order=10)([0.0])
+        cold = wtilde(P, FieldFunction.zero(1), order=10)([0.0])
+        assert hot - cold == pytest.approx(800.0, rel=0.0, abs=1e-12)

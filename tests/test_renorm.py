@@ -349,6 +349,22 @@ class TestWtilde:
         out = wtilde(Sym2Tensor([[1.0]]), FieldFunction.zero(1))
         assert out([0.9]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_shift_law(self, n):
+        # wtilde(P, I + a) = wtilde(P, I) + a, also where exp(a) over- or
+        # underflows.
+        rng = np.random.default_rng(40 + n)
+        P = random_spd(rng, n, 0.5)
+        terms = [(tuple(4 * (i == j) for j in range(n)), -0.1) for i in range(n)]
+        terms.append(((1,) + (0,) * (n - 1), 0.3))
+        X = rng.uniform(-1.0, 1.0, size=(5, n))
+        base = wtilde(P, FieldFunction.polynomial(terms, n)).values(X)
+        for a in (-1000.0, -800.0, 800.0, 1000.0):
+            shifted = FieldFunction.polynomial(terms + [((0,) * n, a)], n)
+            np.testing.assert_allclose(
+                wtilde(P, shifted).values(X) - base, a, rtol=0.0, atol=1e-12
+            )
+
     def test_w_full_quadratic(self):
         p, a = 0.5, 0.8
         I = quadratic_interaction(a)
