@@ -11,6 +11,11 @@ are JSON for full flow records and CSV for value tables.  Identical config
 and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 1 check/computation failure, 2 config error.
+
+Only ``verify`` imports ``oscrenorm.verify``, in ``cmd_verify`` and in
+``main``'s check of the suite name.  A run is one process, so start-up is
+most of a small ``flow`` or ``wtilde``, and those never load the check
+registry.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .renorm import (
     wtilde,
 )
 from .tensors import Sym2Tensor, contract, is_positive_definite, quad_form
-from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -254,6 +258,8 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
 
 
 def cmd_verify(suite: str, seed: int, stream=None) -> int:
+    from .verify import run_suite
+
     stream = stream or sys.stdout
     results = run_suite(suite, seed)
     failed = [r for r in results if not r.passed]
@@ -361,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("--suite", default="all", help=f"one of {SUITES}")
+    p_verify.add_argument(
+        "--suite", default="all",
+        help="a suite of oscrenorm.verify.CHECKS, or all (the default)",
+    )
     p_verify.add_argument("--seed", type=_seed, default=0)
 
     p_flow = sub.add_parser("flow", help="emit a renormalization-flow table")
@@ -382,6 +391,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            from .verify import SUITES
+
             if args.suite not in SUITES:
                 print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
                 return 2

@@ -2,9 +2,11 @@
 interaction generating function ``wtilde``.
 
 A ``FieldFunction`` is a pure evaluator plus structural metadata: the
-``Polynomial`` it evaluates, if it is a polynomial, and an integrability
-flag; on a polynomial, ``integrable`` means that exp of it decays against a
-Gaussian.  Functions are evaluated pointwise and integrated with
+``Polynomial`` it evaluates, if it is a polynomial, and two integrability
+flags.  ``integrable`` means that exp of the function decays against a
+Gaussian, which ``wtilde`` asks of an interaction; ``l1`` means that the
+function itself is integrable on R^n, which ``convolve_numeric`` asks of
+one factor.  Functions are evaluated pointwise and integrated with
 tensor-product Gauss-Hermite quadrature.
 
 ``Polynomial`` alone reads an exponent table.  It takes powers by
@@ -36,10 +38,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import DimensionMismatch, NonPositiveConvolution, NotIntegrable
 # default_order stays importable from here: perfbench/tracing.py reads
@@ -53,8 +54,6 @@ from .tensors import GlElement, Sym2Tensor, as_block, as_vector
 #: at: a chunk holds max(1, _CHUNK_ROWS // q^n) points, so at most
 #: max(_CHUNK_ROWS, q^n) rows; bounds the memory of its temporaries.
 _CHUNK_ROWS = 4096
-
-_LEADING_FORM_SAMPLES = 100
 
 
 def _dot(X: np.ndarray, w) -> np.ndarray:
@@ -145,8 +144,8 @@ class Polynomial:
 
     def exp_integrable(self) -> bool:
         """Whether exp of the polynomial decays against a Gaussian: degree
-        <= 1, or even degree with a negative leading form on sampled
-        directions."""
+        <= 1, or even degree with a leading form negative on every
+        direction of ``_directions``."""
         degrees = self.exponents.sum(axis=1)
         degree = degrees.max(initial=0)
         if degree <= 1:
@@ -154,11 +153,32 @@ class Polynomial:
         if degree % 2 != 0:
             return False
         leading = degrees == degree
-        dim = self.exponents.shape[1]
-        u = default_rng(0).normal(size=((2**dim) * _LEADING_FORM_SAMPLES, dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
         leading_form = Polynomial(self.exponents[leading], self.coeffs[leading])
-        return bool(np.all(leading_form(u) < 0.0))
+        return bool(np.all(leading_form(_directions(self.exponents.shape[1])) < 0.0))
+
+
+@cache
+def _directions(dim: int) -> np.ndarray:
+    """The directions of the nonzero points of the integer cube {-k..k}^dim,
+    one of each pair +-u, as a read-only Fortran-ordered block; k >= 1 is
+    the largest with at most 100 * 2^dim such points.  The set holds every
+    coordinate axis and every vector with entries in {-1, 0, 1}, so a
+    leading form that vanishes on one of them is rejected.  An even form
+    has the same sign at u and at u / max|u_i|, so each point is scaled
+    onto the cube's surface, where a power of a coordinate cannot overflow,
+    and repeated directions are dropped."""
+    k = 1
+    while ((2 * k + 3) ** dim - 1) // 2 <= 100 * 2**dim:
+        k += 1
+    cube = np.indices((2 * k + 1,) * dim).reshape(dim, -1).T - k
+    # Lexicographic order puts -u opposite u, so the half past the origin
+    # holds each pair once.
+    half = cube[len(cube) // 2 + 1:]
+    # A point whose entries share a factor repeats a smaller point's direction.
+    half = half[np.gcd.reduce(half, axis=1) == 1]
+    u = np.asfortranarray(half / np.abs(half).max(axis=1, keepdims=True))
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
@@ -167,12 +187,15 @@ class FieldFunction:
 
     ``evaluator`` maps a validated (m, n) block of points to its (m,)
     values; ``poly`` is the ``Polynomial`` it evaluates, if it is one.
+    ``integrable``: exp of the function decays against a Gaussian.
+    ``l1``: the function itself is integrable on R^n.
     """
 
     evaluator: object
     dim: int
     poly: Polynomial | None = None
     integrable: bool = False
+    l1: bool = False
 
     def values(self, points) -> np.ndarray:
         """Values at the rows of an (m, n) block of points."""
@@ -202,7 +225,9 @@ class FieldFunction:
     @classmethod
     def gaussian(cls, C: Sym2Tensor) -> "FieldFunction":
         g = GaussianMeasure(C)
-        return cls(lambda X: np.exp(g.log_density(X)), C.dim, integrable=True)
+        return cls(
+            lambda X: np.exp(g.log_density(X)), C.dim, integrable=True, l1=True
+        )
 
     @classmethod
     def exp_polynomial(cls, terms, dim: int) -> "FieldFunction":
@@ -215,7 +240,7 @@ class FieldFunction:
                 "exp-polynomial must have even maximal degree >= 2 with a "
                 "negative-definite leading form"
             )
-        return cls(lambda X: np.exp(poly(X)), dim, integrable=True)
+        return cls(lambda X: np.exp(poly(X)), dim, integrable=True, l1=True)
 
 
 def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:
@@ -228,17 +253,20 @@ def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:
         return np.exp(_dot(X, k) + c) * f.evaluator(_apply(m, X) + v)
 
     # Gaussian-dominated decay survives the action: M is invertible and the
-    # exponential-linear prefactor is subdominant.
-    return FieldFunction(evaluator, f.dim, integrable=f.integrable)
+    # exponential-linear prefactor is subdominant.  Exp-integrability does
+    # not survive: for f(x) = x, exp(k(x)) * x is unbounded above.
+    return FieldFunction(evaluator, f.dim, l1=f.l1)
 
 
 def compose(f: FieldFunction, M: GlElement) -> FieldFunction:
-    """Plain composition f o M (no determinant prefactor)."""
+    """Plain composition f o M (no determinant prefactor); an invertible M
+    keeps both integrability flags."""
     if M.dim != f.dim:
         raise DimensionMismatch(f"dimension mismatch: {M.dim} vs {f.dim}")
     m = M.matrix
     return FieldFunction(
-        lambda X: f.evaluator(_apply(m, X)), f.dim, integrable=f.integrable
+        lambda X: f.evaluator(_apply(m, X)), f.dim,
+        integrable=f.integrable, l1=f.l1,
     )
 
 
@@ -248,14 +276,14 @@ def convolve_numeric(
     """Quadrature estimate of (f * g)(x) = int f(y) g(x - y) dy.
 
     The integral is rewritten as an expectation under the rule's Gaussian
-    weight; at least one factor must be declared integrable and the weight
-    covariance must dominate the decay of the product for the estimate to
-    converge.
+    weight; at least one factor must be declared ``l1``, integrable on
+    R^n, and the weight covariance must dominate the decay of the product
+    for the estimate to converge.
     """
     if f.dim != g.dim or f.dim != rule.dim:
         raise DimensionMismatch("convolution factors and rule must share a dimension")
-    if not (f.integrable or g.integrable):
-        raise NotIntegrable("at least one convolution factor must be integrable")
+    if not (f.l1 or g.l1):
+        raise NotIntegrable("at least one convolution factor must be integrable on R^n")
     xv = as_vector(x, f.dim)
     nodes = rule.nodes
     # An overflowing product fails the reduction's guard; a zero one gives

@@ -145,6 +145,7 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_config_error(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
+        assert capsys.readouterr().err == "error: unknown suite 'nonsense'\n"
 
     def test_named_suite(self, capsys):
         assert main(["verify", "--suite", "group", "--seed", "7"]) == 0
@@ -309,6 +310,24 @@ class TestFlowCommand:
         a, p, c = 0.6, 1.0, 2.0
         expected = -0.5 * (a / c) / (1.0 + a * p * (1.0 - 1.0 / c))
         assert coeff == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize("terms", [
+        [([4, 0], -1.0), ([0, 3], 1.0)],
+        [([4, 0], -1.0), ([2, 2], 2.0), ([0, 4], -1.0)],
+    ])
+    def test_semidefinite_leading_form_exit_code(self, tmp_path, capsys, terms):
+        interaction = {"terms": [{"exponents": e, "coeff": c} for e, c in terms]}
+        path = write_config(
+            tmp_path, dimension=2, propagator={"base": [[1.0, 0.0], [0.0, 1.0]]},
+            interaction=interaction, sample_points=[[0.0, 0.0]],
+        )
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: interaction is not integrable: it needs even maximal "
+            "degree with a negative-definite leading form\n"
+        )
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -200,11 +200,13 @@ class TestHeatKernel:
         np.testing.assert_allclose(C1.matrix, C2.matrix, rtol=1e-10)
 
     def test_runs_load_no_scipy(self, tmp_path):
-        # A fresh process: importing the CLI loads no scipy module, and a 2-D
-        # flow with the default generator and the whole verify suite load no
-        # module at all, so no import cost lands in the run. A heat-kernel
-        # wtilde run loads no scipy module either, and its propagator is the
-        # closed form.
+        # A fresh process: importing the CLI loads no scipy module, nor the
+        # check registry and numpy.random, which only verify uses. Loading a
+        # config and running a 2-D flow with the default generator and a
+        # heat-kernel wtilde then load no module at all, so no import cost
+        # lands in a run, and neither does main's flow path. verify loads
+        # its registry, and no scipy module. The heat-kernel propagator is
+        # the closed form.
         config = write_config(
             tmp_path,
             dimension=2,
@@ -236,17 +238,23 @@ class TestHeatKernel:
         code = (
             "import io, json, sys\n"
             "import oscrenorm, oscrenorm.cli as cli\n"
+            "def loaded(*names):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(names))\n"
+            "unused = ('scipy', 'oscrenorm.verify', 'numpy.random')\n"
+            "assert not loaded(*unused), loaded(*unused)\n"
             "before = set(sys.modules)\n"
-            "assert not [m for m in before if m.startswith('scipy')]\n"
             "config = cli.load_config(sys.argv[1])\n"
             "assert cli.cmd_flow(config, 0, sys.argv[2]) == 0\n"
-            "assert cli.cmd_verify('all', 0, stream=io.StringIO()) == 0\n"
-            "new = sorted(set(sys.modules) - before)\n"
-            "assert not new, new\n"
             "hk = cli.load_config(sys.argv[3])\n"
             "assert cli.cmd_wtilde(hk, sys.argv[4]) == 0\n"
-            "scipy = [m for m in sys.modules if m.startswith('scipy')]\n"
-            "assert not scipy, scipy\n"
+            "new = sorted(set(sys.modules) - before)\n"
+            "assert not new, new\n"
+            "argv = ['flow', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "assert cli.main(argv) == 0\n"
+            "assert not loaded(*unused), loaded(*unused)\n"
+            "assert cli.cmd_verify('all', 0, stream=io.StringIO()) == 0\n"
+            "assert loaded('oscrenorm.verify') == ['oscrenorm.verify']\n"
+            "assert not loaded('scipy'), loaded('scipy')\n"
             "print(json.dumps(hk.family.base.matrix.tolist()))\n"
         )
         src = os.path.dirname(os.path.dirname(oscrenorm.__file__))
