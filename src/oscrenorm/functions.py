@@ -145,28 +145,41 @@ class Polynomial:
     def exp_integrable(self) -> bool:
         """Whether exp of the polynomial decays against a Gaussian: degree
         <= 1, or even degree with a leading form negative on every
-        direction of ``_directions``."""
+        direction of ``_directions``.  On a direction where the leading form
+        vanishes, the highest part of degree >= 1 that does not vanish
+        there decides: it must have even degree and be negative.  A
+        direction on which every part of degree >= 1 vanishes is rejected."""
         degrees = self.exponents.sum(axis=1)
         degree = degrees.max(initial=0)
         if degree <= 1:
             return True
         if degree % 2 != 0:
             return False
-        leading = degrees == degree
-        leading_form = Polynomial(self.exponents[leading], self.coeffs[leading])
-        return bool(np.all(leading_form(_directions(self.exponents.shape[1])) < 0.0))
+        u = _directions(self.exponents.shape[1])
+        for d in range(degree, 0, -1):
+            part = degrees == d
+            if not part.any():
+                continue
+            values = Polynomial(self.exponents[part], self.coeffs[part])(u)
+            if (d % 2 != 0 and np.any(values != 0.0)) or np.any(values > 0.0):
+                return False
+            u = u[values == 0.0]
+            if not len(u):
+                return True
+        return False
 
 
 @cache
 def _directions(dim: int) -> np.ndarray:
     """The directions of the nonzero points of the integer cube {-k..k}^dim,
     one of each pair +-u, as a read-only Fortran-ordered block; k >= 1 is
-    the largest with at most 100 * 2^dim such points.  The set holds every
-    coordinate axis and every vector with entries in {-1, 0, 1}, so a
-    leading form that vanishes on one of them is rejected.  An even form
-    has the same sign at u and at u / max|u_i|, so each point is scaled
-    onto the cube's surface, where a power of a coordinate cannot overflow,
-    and repeated directions are dropped."""
+    the largest with at most 100 * 2^dim such points, and k = 1 from
+    dim 14 on, where even (3^dim - 1) / 2 exceeds that bound.  The set
+    holds every coordinate axis and every vector with entries in
+    {-1, 0, 1}.  A homogeneous form keeps its sign from u to
+    u / max|u_i|, so each point is scaled onto the cube's surface, where a
+    power of a coordinate cannot overflow, and repeated directions are
+    dropped."""
     k = 1
     while ((2 * k + 3) ** dim - 1) // 2 <= 100 * 2**dim:
         k += 1

@@ -147,6 +147,16 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "nonsense"]) == 2
         assert capsys.readouterr().err == "error: unknown suite 'nonsense'\n"
 
+    def test_help_lists_the_suites(self, capsys):
+        from oscrenorm.verify import SUITES
+
+        assert cli.VERIFY_SUITES == SUITES
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "one of ('group', 'gaussian', 'convolution', 'renorm', 'all')" in (
+            " ".join(capsys.readouterr().out.split())
+        )
+
     def test_named_suite(self, capsys):
         assert main(["verify", "--suite", "group", "--seed", "7"]) == 0
 
@@ -328,6 +338,20 @@ class TestFlowCommand:
             "degree with a negative-definite leading form\n"
         )
         assert not out.exists()
+
+    def test_leading_form_null_on_an_axis_runs(self, tmp_path, capsys):
+        # -0.1 x^4 vanishes along y, where -0.2 y^2 decays.
+        interaction = {"terms": [
+            {"exponents": [4, 0], "coeff": -0.1}, {"exponents": [0, 2], "coeff": -0.2},
+        ]}
+        path = write_config(
+            tmp_path, dimension=2, propagator={"base": [[1.0, 0.0], [0.0, 1.0]]},
+            interaction=interaction, sample_points=[[0.0, 0.0]],
+        )
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["records"]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

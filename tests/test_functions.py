@@ -232,9 +232,7 @@ DECISIONS = [
     (2, [((0, 2), -0.15), ((2, 0), -0.15)], True),
     (1, [((2,), -0.1), ((4,), -0.15)], True),
     (1, [((2,), -0.2)], True),
-    # Changed on purpose: the leading form -0.1 x^4 vanishes on the y-axis, so
-    # the lattice test rejects it, though -0.2 y^2 makes exp of it decay.
-    (2, [((0, 2), -0.2), ((1, 1), 0.3), ((4, 0), -0.1)], False),
+    (2, [((0, 2), -0.2), ((1, 1), 0.3), ((4, 0), -0.1)], True),
     (1, [((0,), 1.1), ((2,), 0.7), ((4,), -0.3)], True),
 ]
 
@@ -266,6 +264,28 @@ class TestIntegrabilityFlag:
         [((4, 0), -1.0), ((2, 2), 2.0), ((0, 4), -1.0)],
     ])
     def test_semidefinite_leading_form_not(self, terms):
+        assert not FieldFunction.polynomial(terms, dim=2).integrable
+
+    @pytest.mark.parametrize("terms", [
+        [((4, 0), -0.1), ((0, 2), -0.2)],
+        [((4, 0), -0.1), ((0, 2), -0.2), ((1, 1), 0.3)],
+        # Along y the cubic part vanishes and -y^2 decides.
+        [((4, 0), -1.0), ((3, 0), 1.0), ((0, 2), -1.0), ((1, 0), 5.0)],
+    ])
+    def test_lower_part_decides_where_the_leading_form_vanishes(self, terms):
+        assert FieldFunction.polynomial(terms, dim=2).integrable
+
+    @pytest.mark.parametrize("terms", [
+        # Along y, +y^2 grows and -x^4 - 1 is flat; along x = y, 0.5 xy grows.
+        [((4, 0), -1.0), ((0, 2), 1.0)],
+        [((4, 0), -1.0), ((0, 0), -1.0)],
+        [((4, 0), -1.0), ((2, 2), 2.0), ((0, 4), -1.0), ((1, 1), 0.5)],
+        # -(x^2 - y^2)^2 - (x - y)(x - 2y) + y: the quadratic part vanishes
+        # along x = y too, and there the odd y decides.
+        [((4, 0), -1.0), ((2, 2), 2.0), ((0, 4), -1.0), ((2, 0), -1.0),
+         ((1, 1), 3.0), ((0, 2), -2.0), ((0, 1), 1.0)],
+    ])
+    def test_lower_part_rejects_where_the_leading_form_vanishes(self, terms):
         assert not FieldFunction.polynomial(terms, dim=2).integrable
 
     def test_definite_quadratic_near_the_boundary_ok(self):
