@@ -7,7 +7,10 @@ flags.  ``integrable`` means that exp of the function decays against a
 Gaussian, which ``wtilde`` asks of an interaction; ``l1`` means that the
 function itself is integrable on R^n, which ``convolve_numeric`` asks of
 one factor.  Functions are evaluated pointwise and integrated with
-tensor-product Gauss-Hermite quadrature.
+tensor-product Gauss-Hermite quadrature, and every weighted sum over a
+rule's nodes is taken here: ``_shifted_terms`` shifts it by its peak,
+``convolve_numeric`` takes the linear sum under the ``_OVERFLOW_LOG``
+guard, and ``wtilde`` takes its log.
 
 ``Polynomial`` alone reads an exponent table.  It takes powers by
 multiplication, never by numpy's ``pow``, whose path for negative bases is
@@ -42,18 +45,23 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveConvolution, NotIntegrable
+from .errors import (
+    DimensionMismatch, NonPositiveConvolution, NotIntegrable, QuadratureOverflow,
+)
 # default_order stays importable from here: perfbench/tracing.py reads
 # functions.default_order to count the nodes of default-order convolutions.
-from .gaussian import GaussianMeasure, QuadratureRule, _shifted_terms, _weighted_sums
+from .gaussian import GaussianMeasure, QuadratureRule
 from .gaussian import default_order  # noqa: F401
 from .oscgroup import OscElement
-from .tensors import GlElement, Sym2Tensor, as_block, as_vector
+from .tensors import MAX_DIM, GlElement, Sym2Tensor, as_block, as_vector
 
 #: (point, node) integrand rows one chunk of a Gaussian convolution aims
 #: at: a chunk holds max(1, _CHUNK_ROWS // q^n) points, so at most
 #: max(_CHUNK_ROWS, q^n) rows; bounds the memory of its temporaries.
 _CHUNK_ROWS = 4096
+
+#: log of the largest weighted integrand term a linear sum accepts.
+_OVERFLOW_LOG = 700.0
 
 
 def _dot(X: np.ndarray, w) -> np.ndarray:
@@ -90,7 +98,10 @@ class Polynomial:
     def from_terms(cls, terms, dim: int) -> "Polynomial":
         """Polynomial from a coefficient table [(exponents, coeff), ...]: the
         coefficients of equal exponents summed in input order from 0.0, zero
-        sums dropped, the terms sorted by exponents."""
+        sums dropped, the terms sorted by exponents.  ``dim`` must lie in
+        1..``tensors.MAX_DIM``, as for every other type."""
+        if not 1 <= dim <= MAX_DIM:
+            raise DimensionMismatch(f"polynomial dimension {dim} outside 1..{MAX_DIM}")
         sums = {}
         for exponents, coeff in terms:
             e = tuple(operator.index(v) for v in exponents)
@@ -173,8 +184,7 @@ class Polynomial:
 def _directions(dim: int) -> np.ndarray:
     """The directions of the nonzero points of the integer cube {-k..k}^dim,
     one of each pair +-u, as a read-only Fortran-ordered block; k >= 1 is
-    the largest with at most 100 * 2^dim such points, and k = 1 from
-    dim 14 on, where even (3^dim - 1) / 2 exceeds that bound.  The set
+    the largest with at most 100 * 2^dim such points.  The set
     holds every coordinate axis and every vector with entries in
     {-1, 0, 1}.  A homogeneous form keeps its sign from u to
     u / max|u_i|, so each point is scaled onto the cube's surface, where a
@@ -283,6 +293,20 @@ def compose(f: FieldFunction, M: GlElement) -> FieldFunction:
     )
 
 
+def _shifted_terms(log_weights, log_values) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (m, q) block of log-integrand values, one row per point,
+    the shift and the terms exp(e - shift), e = log_weights + log_values.
+
+    The shift is the row's peak, or 0 for an all-zero row (peak -inf), whose
+    terms then stay 0.  A row with a NaN or +inf term gets NaN terms, which
+    every caller rejects."""
+    e = log_weights + log_values
+    peak = e.max(axis=1)
+    shift = np.where(np.isneginf(peak), 0.0, peak)
+    with np.errstate(invalid="ignore"):
+        return shift, np.exp(e - shift[:, None])
+
+
 def convolve_numeric(
     f: FieldFunction, g: FieldFunction, rule: QuadratureRule, x
 ) -> float:
@@ -291,7 +315,9 @@ def convolve_numeric(
     The integral is rewritten as an expectation under the rule's Gaussian
     weight; at least one factor must be declared ``l1``, integrable on
     R^n, and the weight covariance must dominate the decay of the product
-    for the estimate to converge.
+    for the estimate to converge.  The sum is exp(shift) * sum(sign * terms)
+    over the ``_shifted_terms`` of the one-point block; a peak above
+    ``_OVERFLOW_LOG`` raises QuadratureOverflow naming the point.
     """
     if f.dim != g.dim or f.dim != rule.dim:
         raise DimensionMismatch("convolution factors and rule must share a dimension")
@@ -299,13 +325,17 @@ def convolve_numeric(
         raise NotIntegrable("at least one convolution factor must be integrable on R^n")
     xv = as_vector(x, f.dim)
     nodes = rule.nodes
-    # An overflowing product fails the reduction's guard; a zero one gives
+    # An overflowing product fails the guard below; a zero one gives
     # log 0 = -inf and contributes exactly 0.
     with np.errstate(over="ignore", divide="ignore"):
         prod = f.evaluator(nodes) * g.evaluator(xv - nodes)
         log_ratio = np.log(np.abs(prod)) - rule.measure.log_density(nodes)
-    log_weights, signs = np.log(rule.weights), np.sign(prod)[None, :]
-    return float(_weighted_sums(log_weights, log_ratio[None, :], xv[None, :], signs)[0])
+    shift, terms = _shifted_terms(np.log(rule.weights), log_ratio[None, :])
+    if shift[0] > _OVERFLOW_LOG:
+        raise QuadratureOverflow(
+            f"integrand magnitude exp({shift[0]:.1f}) at a node for the point {xv}"
+        )
+    return float((np.exp(shift) * np.sum(terms * np.sign(prod), axis=1))[0])
 
 
 def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFunction:
@@ -316,7 +346,7 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
     expectation of exp(I(x - y)) over y ~ N(0, P), via Hermite nodes
     transformed by the Cholesky factor of P, taken in the log domain as
     shift + log(sum(exp(log_w + I(x - y) - shift))) with the terms of
-    ``gaussian._shifted_terms``; a P that is not positive definite fails
+    ``_shifted_terms``; a P that is not positive definite fails
     its ``GaussianMeasure`` with NotPositiveDefinite.  A point whose value
     is not finite (every term 0, or a term inf or NaN) raises
     NonPositiveConvolution.

@@ -6,9 +6,8 @@ through det(M) N(C) o M = N(M^{-1} C M^{-T}).  Evaluation is done in the
 log domain (log-normalizer plus quadratic form).  ``GaussianMeasure`` is
 the one place a covariance is checked and factored.  Expectations under
 N(C) are taken with a tensor-product Gauss-Hermite ``QuadratureRule``
-built on its measure's Cholesky factor, and every weighted sum over its
-nodes is shifted by its peak in ``_shifted_terms``: ``_weighted_sums``
-takes the linear sum, the generating function its log.
+built on its measure's Cholesky factor; this module builds measures and
+rules, and ``functions`` takes every sum over a rule's nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     NonPositiveDeterminant,
     NotPositiveDefinite,
-    QuadratureOverflow,
     UnsupportedOrder,
 )
 from .tensors import (
@@ -140,42 +138,6 @@ class QuadratureRule:
         return cls(nodes=nodes, weights=weights, measure=measure)
 
 
-#: log of the largest weighted integrand term a linear reduction accepts.
-_OVERFLOW_LOG = 700.0
-
-
-def _shifted_terms(log_weights, log_values) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of an (m, q) block of log-integrand values, one row per point,
-    the shift and the terms exp(e - shift), e = log_weights + log_values.
-
-    The shift is the row's peak, or 0 for an all-zero row (peak -inf), whose
-    terms then stay 0.  A row with a NaN or +inf term gets NaN terms, which
-    every caller rejects."""
-    e = log_weights + log_values
-    peak = e.max(axis=1)
-    shift = np.where(np.isneginf(peak), 0.0, peak)
-    with np.errstate(invalid="ignore"):
-        return shift, np.exp(e - shift[:, None])
-
-
-def _weighted_sums(log_weights, log_values, points, signs=None) -> np.ndarray:
-    """Per row of an (m, q) block of log-integrand values, one row per point,
-    the linear weighted sum exp(shift) * sum(sign * terms) of
-    ``_shifted_terms``; an all-zero row sums to 0.  Raises
-    QuadratureOverflow, naming the row's point, when its peak exceeds
-    ``_OVERFLOW_LOG``."""
-    shift, terms = _shifted_terms(log_weights, log_values)
-    hot = np.flatnonzero(shift > _OVERFLOW_LOG)
-    if hot.size:
-        i = hot[0]
-        raise QuadratureOverflow(
-            f"integrand magnitude exp({shift[i]:.1f}) at a node for the point {points[i]}"
-        )
-    if signs is not None:
-        terms *= signs
-    return np.exp(shift) * np.sum(terms, axis=1)
-
-
 def act_fun_gaussian(M: GlElement, g: GaussianMeasure) -> GaussianMeasure:
     """det(M) N(C) o M = N(M^{-1} C M^{-T}); restricted to det(M) > 0."""
     if M.dim != g.dim:
@@ -196,16 +158,3 @@ def shifted_log_eval(g: GaussianMeasure, C: Sym2Tensor, k, x) -> float:
     xv = as_vector(x, g.dim)
     ck = C.matrix @ kv
     return float(kv @ xv) + 0.5 * float(kv @ ck) + g.log_eval(xv + ck)
-
-
-def normalization_by_quadrature(g: GaussianMeasure) -> float:
-    """Total integral of g estimated with a mismatched Gauss-Hermite weight.
-
-    The weight covariance is deliberately inflated to 2C so the result is a
-    genuine quadrature estimate rather than an identity of the rule.
-    """
-    rule = QuadratureRule.for_covariance(2.0 * g.covariance)
-    log_ratio = g.log_density(rule.nodes) - rule.measure.log_density(rule.nodes)
-    # The integral is (g * 1)(0), so an overflow names the origin.
-    origin = np.zeros((1, g.dim))
-    return float(_weighted_sums(np.log(rule.weights), log_ratio[None, :], origin)[0])

@@ -6,7 +6,8 @@ homomorphisms, the Gaussian convolution semigroup, coarse-graining and the
 flow semigroup) as a per-sample function ``(rng, n) -> error``. ``verify``
 runs it at its registered trial count and dimensions from its own generator,
 keyed by the seed and the check's name, so a check's line depends on nothing
-else; the scorecard runs it with its own counts and generator.
+else; the scorecard runs a copy with its own counts
+(``dataclasses.replace``) from its own generator.
 
 The checks share no state, so a run, of one suite or of all of them, spreads
 its checks over every CPU the process may use. It forks one helper per extra
@@ -66,13 +67,12 @@ class Check:
     dims: tuple = (1,)
     exceeds: bool = False
 
-    def max_error(self, rng, trials=None, dims=None) -> float:
+    def max_error(self, rng) -> float:
         """Largest error over the draws, taken dimension by dimension from
         the caller's generator. Unlike the builtin ``max``, this is NaN if
         any error is NaN, so a check that computes nothing cannot pass."""
-        trials = self.trials if trials is None else trials
-        dims = self.dims if dims is None else dims
-        return float(np.max([self.sample(rng, n) for n in dims for _ in range(trials)]))
+        draws = [self.sample(rng, n) for n in self.dims for _ in range(self.trials)]
+        return float(np.max(draws))
 
     def run(self, seed: int) -> CheckResult:
         """The check at its registered counts, from a generator keyed by
@@ -268,8 +268,14 @@ def _gl_action(rng, n):
 
 
 def _normalization(rng, n):
-    g = gs.GaussianMeasure(random_spd(rng, n))
-    return abs(gs.normalization_by_quadrature(g) - 1.0)
+    # The integral of N(C) is (N(C) * 1)(0); the rule's weight is 2C, not C,
+    # so the result is a genuine quadrature estimate, not an identity of it.
+    C = random_spd(rng, n)
+    total = fn.convolve_numeric(
+        fn.FieldFunction.gaussian(C), fn.FieldFunction.constant(1.0, n),
+        fn.QuadratureRule.for_covariance(2.0 * C), np.zeros(n),
+    )
+    return abs(total - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ registered check (``oscrenorm.verify.CHECKS``) with its own trial count and
 dimensions.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,10 +48,10 @@ def report(number, name, errors, tol, passed=None):
     assert passed, f"criterion {number} ({name}): max_err={max_err:.3e} > tol={tol:.0e}"
 
 
-def registered(rng, *names, trials=None, dims=None):
-    """The largest error of each named check, over ``dims`` x ``trials``
-    draws, or over its registered counts when those are None."""
-    return [find_check(n).max_error(rng, trials, dims) for n in names]
+def registered(rng, *names, **counts):
+    """The largest error of each named check, over its registered ``dims``
+    x ``trials`` draws or over those given in ``counts``."""
+    return [dataclasses.replace(find_check(n), **counts).max_error(rng) for n in names]
 
 
 def test_01_group_axioms_and_faithfulness(rng):

@@ -24,7 +24,8 @@ from oscrenorm import (
     wtilde,
 )
 from oscrenorm.functions import Polynomial, _directions
-from oscrenorm.gaussian import _hermite, normalization_by_quadrature
+from oscrenorm.gaussian import _hermite
+from oscrenorm.verify import find_check
 from conftest import random_gl_pos, random_spd
 
 
@@ -326,6 +327,13 @@ class TestIntegrabilityFlag:
             if any(v):
                 assert v in units
 
+    @pytest.mark.parametrize("dim", [0, 9])
+    def test_dimension_outside_cap_rejected(self, dim):
+        # As for every other type; past the cap, _directions would build
+        # 3^dim points.
+        with pytest.raises(DimensionMismatch, match="polynomial dimension"):
+            FieldFunction.polynomial([((2,) * dim, -1.0)], dim)
+
     def test_high_degree_no_overflow(self):
         # Directions on the cube's surface keep x^738 finite; pytest turns a
         # numpy overflow warning into an error.
@@ -410,12 +418,13 @@ class TestQuadratureRule:
         convolve_numeric(f, g, rule, [0.3, -0.2])
         assert calls == {"eigvalsh": 0, "cholesky": 0}
 
-    def test_normalization_checks_and_factors_its_weight_once(self, monkeypatch):
-        g = GaussianMeasure(Sym2Tensor([[1.0, 0.3], [0.3, 0.8]]))
+    def test_normalization_checks_and_factors_its_weight_once(self, monkeypatch, rng):
+        # One draw in 2-D: N(C) and the rule at 2C are each checked and
+        # factored once.
         _hermite(20)
         calls = count_linalg(monkeypatch)
-        normalization_by_quadrature(g)
-        assert calls == {"eigvalsh": 1, "cholesky": 1}
+        find_check("gaussian-normalization").sample(rng, 2)
+        assert calls == {"eigvalsh": 2, "cholesky": 2}
 
     def test_unsupported_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -556,7 +565,7 @@ class TestConvolveNumeric:
     def test_overflow_guard(self):
         big = FieldFunction(evaluator=lambda X: np.full(len(X), 1e300), dim=1, l1=True)
         rule = QuadratureRule.for_covariance(Sym2Tensor([[100.0]]), order=10)
-        with pytest.raises(QuadratureOverflow):
+        with pytest.raises(QuadratureOverflow, match=r"for the point \[0\.\]"):
             convolve_numeric(big, big, rule, [0.0])
 
     def test_all_products_underflow_to_zero(self):

@@ -5,14 +5,17 @@ import pytest
 from scipy.linalg import cho_solve
 
 from oscrenorm import (
+    FieldFunction,
     GaussianMeasure,
     GlElement,
     NonPositiveDeterminant,
     NotPositiveDefinite,
+    QuadratureRule,
     Sym2Tensor,
     act_fun_gaussian,
+    convolve_numeric,
 )
-from oscrenorm.gaussian import normalization_by_quadrature, shifted_log_eval
+from oscrenorm.gaussian import shifted_log_eval
 from conftest import random_gl_pos, random_spd
 
 
@@ -132,7 +135,12 @@ class TestCharacterization:
         assert shifted_log_eval(g, C, k, x) == pytest.approx(expected)
 
     def test_normalization(self, rng):
+        # The integral of N(C) is (N(C) * 1)(0), estimated on a rule at 2C.
         for n in (1, 2):
-            g = GaussianMeasure(random_spd(rng, n))
-            assert normalization_by_quadrature(g) == pytest.approx(1.0, abs=1e-9)
+            C = random_spd(rng, n)
+            total = convolve_numeric(
+                FieldFunction.gaussian(C), FieldFunction.constant(1.0, n),
+                QuadratureRule.for_covariance(2.0 * C), np.zeros(n),
+            )
+            assert total == pytest.approx(1.0, abs=1e-9)
 

@@ -2,6 +2,7 @@
 scorecard, and the suite contract the CLI relies on: a suite's lines are its
 block of ``all``, whatever the CPU count, from one round of helpers."""
 
+import dataclasses
 import functools
 import io
 import os
@@ -183,7 +184,8 @@ def test_nan_error_fails_the_check(monkeypatch, capsys):
 def test_group_checks_and_gaussian_fixed_point_hold_up_to_4d(seed, n):
     rng = np.random.default_rng(seed)
     for check in (*CHECKS["group"], find_check("gaussian-fixed-point")):
-        assert check.max_error(rng, 3, (n,)) <= check.tolerance, check.name
+        draws = dataclasses.replace(check, trials=3, dims=(n,))
+        assert draws.max_error(rng) <= check.tolerance, check.name
 
 
 def test_element_gap_propagates_nan():
