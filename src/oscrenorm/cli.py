@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .renorm import (
     step_lift,
     wtilde,
 )
-from .tensors import Sym2Tensor, contract, is_positive_definite, quad_form
+from .tensors import Frozen, Sym2Tensor, contract, is_positive_definite, quad_form
 
 SCHEMA_VERSION = 1
 
@@ -59,8 +58,7 @@ MAX_NODES = 2**20
 MAX_EXPONENT = 2 * MAX_ORDER - 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Validated run configuration for flow/wtilde commands."""
 
     family: PropagatorFamily
@@ -70,6 +68,16 @@ class RunConfig:
     quadrature_order: int | None
     projection_degree: int
     semigroup_check_c: float | None
+
+    def __init__(self, family, interaction, scale_ladder, sample_points,
+                 quadrature_order, projection_degree, semigroup_check_c):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "interaction", interaction)
+        object.__setattr__(self, "scale_ladder", scale_ladder)
+        object.__setattr__(self, "sample_points", sample_points)
+        object.__setattr__(self, "quadrature_order", quadrature_order)
+        object.__setattr__(self, "projection_degree", projection_degree)
+        object.__setattr__(self, "semigroup_check_c", semigroup_check_c)
 
 
 def _require(cond: bool, message: str):
@@ -277,10 +285,9 @@ def cmd_verify(suite: str, seed: int, stream=None) -> int:
     return 1 if failed else 0
 
 
-def _flow_record(config: RunConfig, points: np.ndarray, c: float) -> dict:
-    flowed = renorm_step(config.family, c, config.interaction,
-                         order=config.quadrature_order)
-    values = flowed.values(points)
+def _flow_record(
+    config: RunConfig, c: float, points: np.ndarray, values: np.ndarray
+) -> dict:
     samples = [
         {"x": list(p), "value": float(v)}
         for p, v in zip(config.sample_points, values)
@@ -299,7 +306,19 @@ def _flow_record(config: RunConfig, points: np.ndarray, c: float) -> dict:
 
 def cmd_flow(config: RunConfig, seed: int, out_path: str) -> int:
     points = np.array(config.sample_points, dtype=float)
-    records = [_flow_record(config, points, c) for c in config.scale_ladder]
+    flowed = {}
+
+    def step(c: float) -> FieldFunction:
+        """The interaction after one step at c, built once per c: the
+        semigroup check reuses the ladder's steps."""
+        if c not in flowed:
+            flowed[c] = renorm_step(
+                config.family, c, config.interaction, order=config.quadrature_order
+            )
+        return flowed[c]
+
+    values = {c: step(c).values(points) for c in config.scale_ladder}
+    records = [_flow_record(config, c, points, values[c]) for c in config.scale_ladder]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
@@ -309,16 +328,10 @@ def cmd_flow(config: RunConfig, seed: int, out_path: str) -> int:
     if config.semigroup_check_c is not None:
         c = config.semigroup_check_c
         half = math.sqrt(c)
-        direct = renorm_step(config.family, c, config.interaction,
-                             order=config.quadrature_order)
-        twice = renorm_step(
-            config.family,
-            half,
-            renorm_step(config.family, half, config.interaction,
-                        order=config.quadrature_order),
-            order=config.quadrature_order,
-        )
-        a, b = direct.values(points), twice.values(points)
+        a = values[c] if c in values else step(c).values(points)
+        twice = renorm_step(config.family, half, step(half),
+                            order=config.quadrature_order)
+        b = twice.values(points)
         max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
         payload["semigroup_check"] = {"c": c, "max_rel_error": max_rel}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -53,7 +53,7 @@ from .errors import (
 from .gaussian import GaussianMeasure, QuadratureRule
 from .gaussian import default_order  # noqa: F401
 from .oscgroup import OscElement
-from .tensors import MAX_DIM, GlElement, Sym2Tensor, as_block, as_vector
+from .tensors import MAX_DIM, Frozen, GlElement, Sym2Tensor, as_block, as_vector
 
 #: (point, node) integrand rows one chunk of a Gaussian convolution aims
 #: at: a chunk holds max(1, _CHUNK_ROWS // q^n) points, so at most
@@ -79,8 +79,7 @@ def _apply(m: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.stack([_dot(X, row) for row in m]).T
 
 
-@dataclass(frozen=True, eq=False)
-class Polynomial:
+class Polynomial(Frozen):
     """sum_t coeffs[t] x^exponents[t] on R^n, called on an (m, n) block for
     its (m,) values: ``exponents`` is a read-only (k, n) integer array and
     ``coeffs`` the read-only (k,) coefficients."""
@@ -88,9 +87,9 @@ class Polynomial:
     exponents: np.ndarray
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        for name, dtype in (("exponents", int), ("coeffs", float)):
-            table = np.array(getattr(self, name), dtype=dtype)
+    def __init__(self, exponents, coeffs):
+        for name, table in (("exponents", np.array(exponents, dtype=int)),
+                            ("coeffs", np.array(coeffs, dtype=float))):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -204,6 +203,8 @@ def _directions(dim: int) -> np.ndarray:
     return u
 
 
+# A dataclass, unlike the other value types: perfbench/tracing.py wraps an
+# evaluator with dataclasses.replace.
 @dataclass(frozen=True)
 class FieldFunction:
     """Evaluable real-valued function on R^n.

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
     DimensionMismatch,
@@ -26,6 +24,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .tensors import (
+    Frozen,
     GlElement,
     Sym2Tensor,
     act_sym,
@@ -47,8 +46,7 @@ def default_order(dim: int) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class GaussianMeasure:
+class GaussianMeasure(Frozen):
     """Mean-zero Gaussian N[C] with positive-definite covariance.
 
     Construction checks C once, raising NotPositiveDefinite, and computes
@@ -58,13 +56,13 @@ class GaussianMeasure:
 
     covariance: Sym2Tensor
 
-    def __post_init__(self):
-        if not is_positive_definite(self.covariance):
+    def __init__(self, covariance: Sym2Tensor):
+        if not is_positive_definite(covariance):
             raise NotPositiveDefinite("Gaussian covariance must be positive definite")
-        chol = np.linalg.cholesky(self.covariance.matrix)
+        chol = np.linalg.cholesky(covariance.matrix)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        n = self.covariance.dim
-        log_norm = -0.5 * (n * math.log(2.0 * math.pi) + log_det)
+        log_norm = -0.5 * (covariance.dim * math.log(2.0 * math.pi) + log_det)
+        object.__setattr__(self, "covariance", covariance)
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_log_norm", log_norm)
 
@@ -87,13 +85,44 @@ class GaussianMeasure:
         return float(self.log_density(as_vector(x, self.dim)[None, :])[0])
 
 
+def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
+    """The orthonormal Hermite function of degree n at x, by the three-term
+    recurrence of ``numpy.polynomial.hermite``, whose values it matches bit
+    for bit; the unnormalized polynomials overflow from n = 207."""
+    c0, c1 = 0.0, 1.0 / math.sqrt(math.sqrt(math.pi))
+    if n == 0:
+        return np.full(x.shape, c1)
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(2.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x * math.sqrt(2.0)
+
+
 @functools.cache
 def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only 1-D Gauss-Hermite nodes and weights of order q, the weights
     normalized to sum to 1; built once per order.  An unsupported order
-    raises, so it is never cached, and at most orders 1-370 are kept."""
-    t, w = hermgauss(q)
-    # numpy's weights underflow to 0 at q = 371 and are NaN beyond.
+    raises, so it is never cached, and at most orders 1-370 are kept.
+
+    The steps are those of numpy's ``hermgauss``, whose bits they return,
+    so numpy.polynomial is never imported.  The nodes are the eigenvalues
+    of the symmetric Jacobi matrix (Golub-Welsch), improved by one Newton
+    step; the weights are 1 / h_{q-1}(t)^2 of the orthonormal Hermite
+    function, scaled against overflow; both are symmetrized about 0."""
+    if q < 1:
+        raise ValueError(f"Gauss-Hermite order must be a positive integer, got {q}")
+    # eigvalsh reads the lower triangle: the subdiagonal sqrt(i / 2).
+    t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, q)), -1))
+    t -= _normed_hermite(t, q) / (_normed_hermite(t, q - 1) * math.sqrt(2 * q))
+    fm = _normed_hermite(t, q - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    t = (t - t[::-1]) / 2
+    # hermgauss's weights, which sum to sqrt(pi), underflow to 0 at q = 371
+    # and are NaN beyond.
+    w *= math.sqrt(math.pi) / w.sum()
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise UnsupportedOrder(
             f"Gauss-Hermite weights at order {q} are not all finite and positive"
@@ -104,8 +133,7 @@ def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Frozen):
     """Tensor-product Gauss-Hermite rule for a Gaussian weight N(0, C).
 
     ``measure`` is N(C) itself.  ``nodes`` holds the transformed points
@@ -117,6 +145,11 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     measure: GaussianMeasure
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, measure: GaussianMeasure):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "measure", measure)
 
     @property
     def dim(self) -> int:

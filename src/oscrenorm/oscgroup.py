@@ -27,16 +27,14 @@ element owns its k and v and they are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensors import GlElement, Sym2Tensor, act_sym, as_vector
+from .tensors import Frozen, GlElement, Sym2Tensor, act_sym, as_vector
 
 
-@dataclass(frozen=True)
-class OscElement:
+class OscElement(Frozen):
     """Group element (m, k, v, c)."""
 
     m: GlElement
@@ -44,15 +42,16 @@ class OscElement:
     v: np.ndarray
     c: float
 
-    def __post_init__(self):
+    def __init__(self, m: GlElement, k, v, c: float):
         # Copies, so that the caller's arrays do not alias the element's.
-        k = as_vector(self.k, self.m.dim).copy()
-        v = as_vector(self.v, self.m.dim).copy()
-        c = float(self.c)
+        k = as_vector(k, m.dim).copy()
+        v = as_vector(v, m.dim).copy()
+        c = float(c)
         if not math.isfinite(c):
             raise ValueError("vector entries must be finite")
         k.setflags(write=False)
         v.setflags(write=False)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "c", c)
@@ -126,16 +125,17 @@ def an_apply(C: Sym2Tensor, k) -> OscElement:
     )
 
 
-@dataclass(frozen=True)
-class UrElement:
+class UrElement(Frozen):
     """Element (m, p) of the semidirect product GL(V) x| Sym2(V)."""
 
     m: GlElement
     p: Sym2Tensor
 
-    def __post_init__(self):
-        if self.m.dim != self.p.dim:
+    def __init__(self, m: GlElement, p: Sym2Tensor):
+        if m.dim != p.dim:
             raise DimensionMismatch("transform and tensor differ in dimension")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
 
     @property
     def dim(self) -> int:

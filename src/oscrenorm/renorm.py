@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .errors import (
 from .functions import FieldFunction, Polynomial, compose, wtilde
 from .oscgroup import UrElement, ur
 from .tensors import (
+    Frozen,
     GlElement,
     Sym2Tensor,
     _as_square,
@@ -67,14 +67,13 @@ _HK_RTOL = 1e-13
 _HK_LEVELS = 13
 
 
-@dataclass(frozen=True)
-class DilationFamily:
+class DilationFamily(Frozen):
     """One-parameter family T_c = exp(ln(c) A) in GL(V)."""
 
     generator: np.ndarray
 
-    def __post_init__(self):
-        a = _as_square(self.generator, "dilation generator").copy()
+    def __init__(self, generator):
+        a = _as_square(generator, "dilation generator").copy()
         a.setflags(write=False)
         object.__setattr__(self, "generator", a)
 
@@ -104,8 +103,7 @@ class DilationFamily:
         return GlElement(expm(a))
 
 
-@dataclass(frozen=True)
-class PropagatorFamily:
+class PropagatorFamily(Frozen):
     """A positive-definite base propagator P_L0 and a dilation family T_c.
 
     A step at factor c coarse-grains over P_L0 - T_c P_L0 T_c^T, so
@@ -115,11 +113,13 @@ class PropagatorFamily:
     base: Sym2Tensor
     dilation: DilationFamily
 
-    def __post_init__(self):
-        if not is_positive_definite(self.base):
+    def __init__(self, base: Sym2Tensor, dilation: DilationFamily):
+        if not is_positive_definite(base):
             raise NotPositiveDefinite("base propagator must be positive definite")
-        if self.base.dim != self.dilation.dim:
+        if base.dim != dilation.dim:
             raise ValueError("base tensor and dilation generator dimensions differ")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dilation", dilation)
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,12 @@
 """Dense linear algebra on small field spaces.
 
 Vectors and dual vectors are plain 1-D numpy arrays.  Symmetric 2-tensors
-(covariances, propagators) and invertible transforms get thin immutable
-wrappers that enforce their invariants at construction time.  The
-conjugation action of an invertible transform M on a symmetric tensor C is
-fixed as M C M^T throughout (row-major convention).
+(covariances, propagators) and invertible transforms get thin wrappers that
+enforce their invariants at construction time.  They and the package's
+other value types are plain classes on the immutable base ``Frozen``: each
+``__init__`` validates and sets its fields once, and instances compare and
+hash by identity.  The conjugation action of an invertible transform M on a
+symmetric tensor C is fixed as M C M^T throughout (row-major convention).
 
 Validation rule: public constructors validate fully (shape, dimension cap,
 finiteness, and symmetry or conditioning).  Entry-by-entry arithmetic on
@@ -30,7 +32,6 @@ it always did.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -108,8 +109,22 @@ def _inf_norm(m: np.ndarray) -> float:
     return np.abs(m).sum(axis=1).max()
 
 
-@dataclass(frozen=True)
-class Sym2Tensor:
+class Frozen:
+    """Base of the immutable value types.  ``__init__`` or a private
+    constructor sets each field once with ``object.__setattr__``; after that
+    a field can be neither assigned nor deleted.  No ``__slots__`` in the
+    subclasses: ``cached_property`` stores into the instance ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Sym2Tensor(Frozen):
     """Symmetric 2-tensor on R^n, stored as an n x n matrix.
 
     Inputs are symmetrized as C/2 + C^T/2; asymmetry beyond
@@ -119,8 +134,8 @@ class Sym2Tensor:
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        m = _as_square(self.matrix, "symmetric 2-tensor")
+    def __init__(self, matrix):
+        m = _as_square(matrix, "symmetric 2-tensor")
         # Both norms are taken of m / 32: dividing by a power of two is exact,
         # and for n <= MAX_DIM a row sum of n differences stays finite. They
         # are the _inf_norm of each half of one stacked block: the row sums
@@ -186,21 +201,19 @@ class Sym2Tensor:
         return bool(np.all(np.abs(self.matrix) <= atol))
 
 
-@dataclass(frozen=True)
-class GlElement:
+class GlElement(Frozen):
     """Invertible linear transform of R^n.
 
     Rejected when the smallest singular value falls below
     ``SINGULAR_RTOL`` times the largest, so that downstream inverses carry
     meaningful error bounds. ``_smin`` and ``_smax`` bound the smallest and
-    largest singular values of ``matrix``; they are not fields, so equality
-    and ``repr`` see only the matrix.
+    largest singular values of ``matrix``.
     """
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        m = _as_square(self.matrix, "linear transform")
+    def __init__(self, matrix):
+        m = _as_square(matrix, "linear transform")
         self._certify(m.copy(), np.linalg.svd(m, compute_uv=False))
 
     @classmethod

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oscrenorm
@@ -559,6 +560,37 @@ class TestBatchedFlow:
         cfg = write_config(tmp_path, scale_ladder=[2.0, 4.0])
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "f.json")]) == 0
         assert shapes == [(5, 1), (5, 1)]
+
+    @pytest.mark.parametrize("ladder, steps", [
+        ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 2.0]),
+        ([1.0, 4.0], [1.0, 4.0, 2.0, 2.0]),
+        ([1.0, 3.0], [1.0, 3.0, 4.0, 2.0, 2.0]),
+    ])
+    def test_semigroup_check_reuses_the_ladder_steps(
+        self, tmp_path, monkeypatch, ladder, steps
+    ):
+        # The check at c = 4 takes its direct step and its first half step
+        # from the ladder when they are on it, and builds them otherwise;
+        # either way its error is that of fresh steps.
+        calls = []
+        real_step = cli.renorm_step
+
+        def counting_step(family, c, I, order=None):
+            calls.append(c)
+            return real_step(family, c, I, order=order)
+
+        monkeypatch.setattr(cli, "renorm_step", counting_step)
+        cfg = write_config(tmp_path, scale_ladder=ladder, semigroup_check_c=4.0)
+        out = tmp_path / "f.json"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == steps
+        config = load_config(cfg)
+        points = np.array(config.sample_points)
+        fam, I = config.family, config.interaction
+        a = real_step(fam, 4.0, I, order=20).values(points)
+        b = real_step(fam, 2.0, real_step(fam, 2.0, I, order=20), order=20).values(points)
+        expected = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
+        assert json.loads(out.read_text())["semigroup_check"]["max_rel_error"] == expected
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         cfg = write_config(

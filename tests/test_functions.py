@@ -405,7 +405,7 @@ class TestQuadratureRule:
     def test_wtilde_checks_and_factors_its_covariance_once(self, monkeypatch):
         P = Sym2Tensor([[1.0, 0.3], [0.3, 0.8]])
         I = FieldFunction.polynomial([((4, 0), -0.1), ((0, 4), -0.1)], dim=2)
-        _hermite(6)  # hermgauss runs eigvalsh itself
+        _hermite(6)  # the 1-D rule takes an eigvalsh of its own, once
         calls = count_linalg(monkeypatch)
         wtilde(P, I, order=6)
         assert calls == {"eigvalsh": 1, "cholesky": 1}
@@ -439,14 +439,25 @@ class TestQuadratureRule:
         again = _hermite(17)
         assert again[0] is t and again[1] is w
         assert not t.flags.writeable and not w.flags.writeable
-        t0, w0 = np.polynomial.hermite.hermgauss(17)
-        assert np.array_equal(t, t0)
-        assert np.array_equal(w, w0 / math.sqrt(math.pi))
+
+    def test_hermite_is_numpys_hermgauss_bit_for_bit(self):
+        # The nodes and weights of every supported order are hermgauss's
+        # bytes, the weights over sqrt(pi); -0.0 and 0.0 differ here.
+        for q in range(1, 371):
+            t, w = _hermite.__wrapped__(q)
+            t0, w0 = np.polynomial.hermite.hermgauss(q)
+            assert t.tobytes() == t0.tobytes(), q
+            assert w.tobytes() == (w0 / math.sqrt(math.pi)).tobytes(), q
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_raises(self, order):
+        with pytest.raises(ValueError):
+            QuadratureRule.for_covariance(Sym2Tensor.identity(1), order=order)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("order", [371, 372, 400])
     def test_order_without_positive_weights(self, order):
-        # numpy's weights are 0 at q = 371 and NaN from q = 372. A rejected
+        # hermgauss's weights are 0 at q = 371 and NaN from q = 372. A rejected
         # order is not cached, so the cache holds supported orders only.
         cached = _hermite.cache_info().currsize
         with pytest.raises(UnsupportedOrder):

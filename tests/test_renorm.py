@@ -201,7 +201,8 @@ class TestHeatKernel:
 
     def test_runs_load_no_scipy(self, tmp_path):
         # A fresh process: importing the CLI loads no scipy module, nor the
-        # check registry and numpy.random, which only verify uses. Loading a
+        # check registry and numpy.random, which only verify uses, nor
+        # numpy.polynomial: gaussian has its own port of hermgauss. Loading a
         # config and running a 2-D flow with the default generator and a
         # heat-kernel wtilde then load no module at all, so no import cost
         # lands in a run, and neither does main's flow path. verify loads
@@ -240,7 +241,7 @@ class TestHeatKernel:
             "import oscrenorm, oscrenorm.cli as cli\n"
             "def loaded(*names):\n"
             "    return sorted(m for m in sys.modules if m.startswith(names))\n"
-            "unused = ('scipy', 'oscrenorm.verify', 'numpy.random')\n"
+            "unused = ('scipy', 'oscrenorm.verify', 'numpy.random', 'numpy.polynomial')\n"
             "assert not loaded(*unused), loaded(*unused)\n"
             "before = set(sys.modules)\n"
             "config = cli.load_config(sys.argv[1])\n"

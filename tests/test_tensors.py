@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,15 +10,22 @@ from hypothesis.extra import numpy as hnp
 from oscrenorm import tensors as tn
 from oscrenorm import (
     DimensionMismatch,
+    FieldFunction,
+    GaussianMeasure,
     GlElement,
+    OscElement,
+    QuadratureRule,
     SingularTensor,
     Sym2Tensor,
     act_sym,
     contract,
     is_positive_definite,
     quad_form,
+    ur,
 )
-from conftest import random_gl, random_spd
+from oscrenorm.cli import load_config
+from oscrenorm.functions import Polynomial
+from conftest import random_gl, random_spd, write_config
 
 
 class TestContract:
@@ -426,3 +434,44 @@ class TestGlProductCheck:
                 assert M._smin <= svals[-1]
                 assert M._smax >= svals[0]
         assert certified > 0
+
+
+class TestFrozenValueTypes:
+    def test_fields_cannot_be_assigned_or_deleted(self, tmp_path):
+        C = Sym2Tensor([[2.0, 0.5], [0.5, 1.0]])
+        M = GlElement([[1.0, 0.2], [0.0, 1.5]])
+        assert M.inverse is M.inverse  # a cached_property, kept with the fields
+        config = load_config(write_config(tmp_path))
+        values = [
+            C, M, OscElement(M, [1.0, 2.0], [0.5, 0.0], 0.3), ur(C, M),
+            GaussianMeasure(C), QuadratureRule.for_covariance(C, order=3),
+            Polynomial.from_terms([((2, 0), -1.0)], 2),
+            config.family.dilation, config.family, config,
+        ]
+        assert {type(v).__name__ for v in values} == {
+            "Sym2Tensor", "GlElement", "OscElement", "UrElement",
+            "GaussianMeasure", "QuadratureRule", "Polynomial",
+            "DilationFamily", "PropagatorFamily", "RunConfig",
+        }
+        for value in values:
+            assert isinstance(value, tn.Frozen)
+            assert not dataclasses.is_dataclass(value)
+            fields = dict(vars(value))
+            assert fields
+            for name in [*fields, "unset"]:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+            assert vars(value) == fields
+
+    def test_equality_is_identity(self):
+        # Field-wise equality of an array field raised ValueError.
+        a, b = Sym2Tensor.identity(2), Sym2Tensor.identity(2)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_field_function_stays_a_dataclass(self):
+        # perfbench/tracing.py's _with_evaluator wraps an evaluator by
+        # dataclasses.replace, and only on a dataclass.
+        assert dataclasses.is_dataclass(FieldFunction)
