@@ -10,7 +10,8 @@ Configuration is a single JSON document with a versioned schema; outputs
 are JSON for full flow records and CSV for value tables.  Identical config
 and seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 check/computation failure, 2 config error.
+Exit codes: 0 success, 1 check/computation failure, 2 config error or an
+output file that cannot be written.
 
 Only ``verify`` imports ``oscrenorm.verify``, in ``cmd_verify`` and in
 ``main``'s check of the suite name.  A run is one process, so start-up is
@@ -245,7 +246,8 @@ def _parse_config(raw, order_override: int | None) -> RunConfig:
         )
 
     # Every factor a flow steps by: a step covariance must be zero (the
-    # identity step) or have a Gaussian density to integrate against.
+    # identity step) or have a Gaussian density to integrate against. The
+    # family keeps these lifts, and the run's steps reuse them.
     factors = set(ladder)
     if check_c is not None:
         factors |= {check_c, math.sqrt(check_c)}
@@ -335,9 +337,7 @@ def cmd_flow(config: RunConfig, seed: int, out_path: str) -> int:
         max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
         payload["semigroup_check"] = {"c": c, "max_rel_error": max_rel}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    return 0
+    return _write_output(out_path, text)
 
 
 def cmd_wtilde(config: RunConfig, out_path: str) -> int:
@@ -359,9 +359,19 @@ def cmd_wtilde(config: RunConfig, out_path: str) -> int:
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    return _write_output(out_path, text)
+
+
+def _write_output(out_path: str, text: str) -> int:
+    """Write ``text`` to the file ``out_path``: 0, or 2 after an
+    ``error: cannot write output`` line when the file cannot be written."""
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

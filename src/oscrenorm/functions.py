@@ -339,6 +339,21 @@ def convolve_numeric(
     return float((np.exp(shift) * np.sum(terms * np.sign(prod), axis=1))[0])
 
 
+def _rule_columns(P: Sym2Tensor, order: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (n, q^n) node columns and (q^n,) log weights of the
+    rule for N(P) at ``order``, kept in ``P._rules`` for the order last
+    asked for, so that a covariance holds at most one rule; a build that
+    raises keeps nothing."""
+    if order not in P._rules:
+        rule = QuadratureRule.for_covariance(P, order)
+        cols, log_weights = np.ascontiguousarray(rule.nodes.T), np.log(rule.weights)
+        cols.setflags(write=False)
+        log_weights.setflags(write=False)
+        P._rules.clear()
+        P._rules[order] = cols, log_weights
+    return P._rules[order]
+
+
 def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFunction:
     """Interaction part of the generating function, log(N(P) * exp o I).
 
@@ -355,7 +370,10 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
     points, i.e. at most max(``_CHUNK_ROWS``, q^n) (point, node) rows.  A
     chunk's shifted block is built column by column from the (n, q^n) node
     columns, point-major as in the rule's reduction order, and passed on
-    Fortran-ordered.
+    Fortran-ordered.  The columns and log weights come from one rule per
+    covariance object, which every call on that P at the same order reuses:
+    a flow's steps at one factor share their lift's covariance, so they
+    share its rule.
     """
     if P.dim != I.dim:
         raise DimensionMismatch(f"dimension mismatch: {P.dim} vs {I.dim}")
@@ -363,8 +381,7 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
         return I
     if not I.integrable:
         raise NotIntegrable("interaction is not exp-integrable")
-    rule = QuadratureRule.for_covariance(P, order)
-    cols, log_weights = np.ascontiguousarray(rule.nodes.T), np.log(rule.weights)
+    cols, log_weights = _rule_columns(P, order)
     per_chunk = max(1, _CHUNK_ROWS // cols.shape[1])
 
     def evaluator(X):

@@ -27,6 +27,7 @@ element owns its k and v and they are read-only.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -81,7 +82,9 @@ class OscElement(Frozen):
         return self.m.dim
 
     @classmethod
+    @cache
     def identity(cls, dim: int) -> "OscElement":
+        """The group identity; one shared read-only instance per dim."""
         return cls(GlElement.identity(dim), np.zeros(dim), np.zeros(dim), 0.0)
 
 

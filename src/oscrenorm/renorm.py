@@ -66,6 +66,10 @@ _HK_STEP = 0.5
 _HK_RTOL = 1e-13
 _HK_LEVELS = 13
 
+#: Lifts a ``PropagatorFamily`` keeps, one per factor: a flow steps by its
+#: ladder and, with a semigroup check, two more factors.
+_MAX_LIFTS = 64
+
 
 class DilationFamily(Frozen):
     """One-parameter family T_c = exp(ln(c) A) in GL(V)."""
@@ -107,7 +111,8 @@ class PropagatorFamily(Frozen):
     """A positive-definite base propagator P_L0 and a dilation family T_c.
 
     A step at factor c coarse-grains over P_L0 - T_c P_L0 T_c^T, so
-    dilation equivariance holds by construction.
+    dilation equivariance holds by construction.  ``_lifts`` is
+    ``step_lift``'s memo: the lift of each factor the family has served.
     """
 
     base: Sym2Tensor
@@ -120,6 +125,7 @@ class PropagatorFamily(Frozen):
             raise ValueError("base tensor and dilation generator dimensions differ")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dilation", dilation)
+        object.__setattr__(self, "_lifts", {})
 
     @property
     def dim(self) -> int:
@@ -133,10 +139,19 @@ class PropagatorFamily(Frozen):
 def step_lift(fam: PropagatorFamily, c: float) -> UrElement:
     """The lift (T_c, P_L0 - P_cL0) of one step at factor c >= 1.
 
-    Raises MonotonicityViolated when the step tensor is not positive
-    semi-definite, i.e. the family does not coarse-grain monotonically.
+    Built once per factor and family: later calls return the same
+    immutable lift, so every step at c shares its covariance object and
+    ``wtilde`` reuses that covariance's quadrature rule.  A family keeps
+    at most ``_MAX_LIFTS`` lifts and forgets them all when it would hold
+    more.  Raises ValueError for
+    c < 1 and MonotonicityViolated when the step tensor is not positive
+    semi-definite, i.e. the family does not coarse-grain monotonically;
+    a factor that raises is never kept, so it raises on every call.
     """
     c = float(c)
+    lift = fam._lifts.get(c)
+    if lift is not None:
+        return lift
     if c < 1.0:
         raise ValueError(f"step factor must be >= 1, got {c}")
     lift = ur(fam.base, fam.dilation.transform(c))
@@ -146,6 +161,9 @@ def step_lift(fam: PropagatorFamily, c: float) -> UrElement:
             f"P_L0 - P_cL0 has eigenvalue {gap:.3e} < 0: the propagator "
             f"family is not monotone at c = {c}"
         )
+    if len(fam._lifts) >= _MAX_LIFTS:
+        fam._lifts.clear()
+    fam._lifts[c] = lift
     return lift
 
 
@@ -285,6 +303,8 @@ def renorm_step(
     """One renormalization step: I -> wtilde(P_L0 - P_cL0, I) o T_c, i.e.
     ``cgrl_compose`` of ``step_lift(fam, c)``.
 
+    Every step at c on one family shares the family's immutable lift, so
+    ``wtilde`` builds the quadrature rule of its covariance once per order.
     At c = 1 the step tensor vanishes and the input is returned unchanged.
     """
     lift = step_lift(fam, c)

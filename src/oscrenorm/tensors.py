@@ -200,6 +200,13 @@ class Sym2Tensor(Frozen):
     def is_zero(self, atol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.matrix) <= atol))
 
+    @cached_property
+    def _rules(self) -> dict:
+        """``functions.wtilde``'s memo: the node columns and log weights of
+        this covariance's quadrature rule, keyed by its order.  It lives
+        exactly as long as the tensor."""
+        return {}
+
 
 class GlElement(Frozen):
     """Invertible linear transform of R^n.

@@ -13,10 +13,12 @@ import pytest
 import oscrenorm
 from oscrenorm import (
     FieldFunction,
+    PropagatorFamily,
     QuadratureRule,
     cli,
     heat_kernel_base,
     is_positive_definite,
+    renorm,
 )
 from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
@@ -361,6 +363,17 @@ class TestFlowCommand:
         assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["flow", "wtilde"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+        # The run completes, then its output file cannot be opened: one
+        # error line and exit 2, as for a config that cannot be read.
+        out = tmp_path / "missing" / "out"
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(out) in err and len(err.splitlines()) == 1
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -561,34 +574,52 @@ class TestBatchedFlow:
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "f.json")]) == 0
         assert shapes == [(5, 1), (5, 1)]
 
-    @pytest.mark.parametrize("ladder, steps", [
-        ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 2.0]),
-        ([1.0, 4.0], [1.0, 4.0, 2.0, 2.0]),
-        ([1.0, 3.0], [1.0, 3.0, 4.0, 2.0, 2.0]),
+    @pytest.mark.parametrize("ladder, steps, lifts, rules", [
+        ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 2.0], 3, 2),
+        ([1.0, 4.0], [1.0, 4.0, 2.0, 2.0], 3, 2),
+        ([1.0, 3.0], [1.0, 3.0, 4.0, 2.0, 2.0], 4, 3),
     ])
     def test_semigroup_check_reuses_the_ladder_steps(
-        self, tmp_path, monkeypatch, ladder, steps
+        self, tmp_path, monkeypatch, ladder, steps, lifts, rules
     ):
         # The check at c = 4 takes its direct step and its first half step
         # from the ladder when they are on it, and builds them otherwise;
-        # either way its error is that of fresh steps.
-        calls = []
-        real_step = cli.renorm_step
+        # either way its error is that of fresh steps.  load_config lifts
+        # each factor once, every step reuses that lift, and each step
+        # covariance gets one quadrature rule, the identity step none.
+        calls, lifted, built = [], [], []
+        real_step, real_ur = cli.renorm_step, renorm.ur
+        real_rule = QuadratureRule.for_covariance
 
         def counting_step(family, c, I, order=None):
             calls.append(c)
             return real_step(family, c, I, order=order)
 
+        def counting_ur(C, M):
+            lifted.append(M)
+            return real_ur(C, M)
+
+        def counting_rule(cls, C, order=None):
+            built.append(C)
+            return real_rule(C, order)
+
         monkeypatch.setattr(cli, "renorm_step", counting_step)
+        monkeypatch.setattr(renorm, "ur", counting_ur)
+        monkeypatch.setattr(QuadratureRule, "for_covariance", classmethod(counting_rule))
         cfg = write_config(tmp_path, scale_ladder=ladder, semigroup_check_c=4.0)
         out = tmp_path / "f.json"
         assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
         assert calls == steps
+        assert (len(lifted), len(built)) == (lifts, rules)
         config = load_config(cfg)
         points = np.array(config.sample_points)
-        fam, I = config.family, config.interaction
-        a = real_step(fam, 4.0, I, order=20).values(points)
-        b = real_step(fam, 2.0, real_step(fam, 2.0, I, order=20), order=20).values(points)
+        base, dilation, I = config.family.base, config.family.dilation, config.interaction
+
+        def fresh_step(c, f):
+            return real_step(PropagatorFamily(base, dilation), c, f, order=20)
+
+        a = fresh_step(4.0, I).values(points)
+        b = fresh_step(2.0, fresh_step(2.0, I)).values(points)
         expected = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
         assert json.loads(out.read_text())["semigroup_check"]["max_rel_error"] == expected
 

@@ -195,6 +195,10 @@ class TestOwnership:
         np.testing.assert_array_equal(g.k, [1.0, 2.0])
         np.testing.assert_array_equal(g.v, [1.0, 2.0])
 
+    def test_identity_is_shared_per_dimension(self):
+        assert OscElement.identity(2) is OscElement.identity(2)
+        assert OscElement.identity(3).dim == 3
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from oscrenorm import (
     NonPositiveScale,
     NotPositiveDefinite,
     PropagatorFamily,
+    QuadratureRule,
     Sym2Tensor,
     cgrl_compose,
     heat_kernel_base,
@@ -30,6 +33,7 @@ from oscrenorm import (
     w_full,
     wtilde,
 )
+from oscrenorm import renorm
 from oscrenorm.functions import Polynomial
 from oscrenorm.oscgroup import sd_mul, ur
 from oscrenorm.renorm import _heat_kernel_integrals, project_polynomial
@@ -169,6 +173,78 @@ class TestRenormStep:
         I = FieldFunction.polynomial([((4, 0), -0.1), ((0, 4), -0.1)], dim=2)
         with pytest.raises(NotPositiveDefinite):
             renorm_step(fam, 2.0, I)
+
+
+def memo_family(dim, generator):
+    """A family on a correlated base, with the default or a rotating
+    generator -I/2 + S (S antisymmetric): T_c = c^(-1/2) R, R orthogonal."""
+    base = Sym2Tensor(0.95 * np.eye(dim) + 0.05 * np.ones((dim, dim)))
+    if generator == "default":
+        return PropagatorFamily.with_default_dilation(base)
+    skew = 0.2 * (np.triu(np.ones((dim, dim)), 1) - np.tril(np.ones((dim, dim)), -1))
+    return PropagatorFamily(base, DilationFamily(-0.5 * np.eye(dim) + skew))
+
+
+class TestStepLiftMemo:
+    def test_one_lift_per_factor(self):
+        fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
+        assert step_lift(fam, 2.0) is step_lift(fam, 2)
+        assert step_lift(fam, 4.0) is not step_lift(fam, 2.0)
+
+    @pytest.mark.parametrize("generator", ["default", "rotating"])
+    @pytest.mark.parametrize("dim, order", [(1, 20), (2, 10), (3, 6), (4, 4)])
+    def test_served_family_steps_like_a_fresh_one(self, dim, order, generator):
+        # Values bit for bit equal, whatever steps the family served before.
+        I = FieldFunction.polynomial(
+            [(tuple(4 * (i == j) for j in range(dim)), -0.1) for i in range(dim)]
+            + [(tuple(2 * (i == j) for j in range(dim)), -0.2) for i in range(dim)]
+            + [(tuple(int(j in (0, dim - 1)) for j in range(dim)), 0.05)],
+            dim,
+        )
+        points = np.linspace(-0.5, 0.6, 2 * dim).reshape(2, dim)
+        served = memo_family(dim, generator)
+        for c in (1.5, 2.0, 4.0, 2.0):
+            renorm_step(served, c, I, order=order).values(points)
+
+        def values(fam, c, depth):
+            f = I
+            for _ in range(depth):
+                f = renorm_step(fam, c, f, order=order)
+            return f.values(points)
+
+        for c, depth in ((2.0, 1), (4.0, 1), (2.0, 2)):
+            np.testing.assert_array_equal(
+                values(served, c, depth), values(memo_family(dim, generator), c, depth)
+            )
+
+    def test_rejected_factors_raise_on_every_call(self):
+        fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
+        expanding = PropagatorFamily(Sym2Tensor([[1.0]]), DilationFamily([[0.5]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                step_lift(fam, 0.5)
+            with pytest.raises(MonotonicityViolated):
+                step_lift(expanding, 2.0)
+            with pytest.raises(MonotonicityViolated):
+                renorm_step(expanding, 2.0, quadratic_interaction(0.4))
+
+    def test_steps_die_with_their_family(self):
+        fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
+        flowed = renorm_step(fam, 2.0, quadratic_interaction(0.4))
+        flowed([0.3])
+        step = weakref.ref(step_lift(fam, 2.0).p)
+        del fam, flowed
+        gc.collect()
+        assert step() is None
+
+    def test_a_family_keeps_a_bounded_number_of_lifts(self):
+        fam = PropagatorFamily.with_default_dilation(Sym2Tensor([[1.0]]))
+        first = weakref.ref(step_lift(fam, 1.0))
+        for k in range(1, renorm._MAX_LIFTS + 1):
+            last = step_lift(fam, 1.0 + k / 8)
+        gc.collect()
+        assert first() is None
+        assert step_lift(fam, 1.0 + renorm._MAX_LIFTS / 8) is last
 
 
 class TestHeatKernel:
@@ -357,6 +433,28 @@ class TestWtilde:
     def test_zero_interaction_gives_zero(self):
         out = wtilde(Sym2Tensor([[1.0]]), FieldFunction.zero(1))
         assert out([0.9]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_rule_per_covariance_object(self, monkeypatch):
+        built = []
+        real_rule = QuadratureRule.for_covariance
+
+        def counting_rule(cls, C, order=None):
+            built.append((C, order))
+            return real_rule(C, order)
+
+        monkeypatch.setattr(QuadratureRule, "for_covariance", classmethod(counting_rule))
+        I = quadratic_interaction(0.7)
+        P, twin = Sym2Tensor([[0.8]]), Sym2Tensor([[0.8]])
+        # A covariance keeps the rule of the order last asked for.
+        values = [wtilde(Q, I, order=q)([0.4]) for Q, q in
+                  ((P, None), (P, None), (twin, None), (P, 12), (P, 12), (P, None))]
+        assert built == [(P, None), (twin, None), (P, 12), (P, None)]
+        assert values[0] == values[1] == values[2] == values[5] and values[3] == values[4]
+        indefinite = Sym2Tensor([[-1.0]])
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefinite):
+                wtilde(indefinite, I)
+        assert len(built) == 6
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_constant_shift_law(self, n):
