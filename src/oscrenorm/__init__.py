@@ -14,7 +14,6 @@ from .errors import (
     NotIntegrable,
     NotPositiveDefinite,
     OscRenormError,
-    QuadratureOverflow,
     SingularTensor,
     UnsupportedOrder,
 )
@@ -22,8 +21,6 @@ from .functions import (
     FieldFunction,
     QuadratureRule,
     compose,
-    convolve_numeric,
-    sigma_act,
 )
 from .gaussian import (
     GaussianMeasure,

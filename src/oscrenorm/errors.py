@@ -25,10 +25,6 @@ class NotIntegrable(OscRenormError):
     """Function lacks the decay needed for the requested integral."""
 
 
-class QuadratureOverflow(OscRenormError):
-    """Integrand exceeded the representable range at a quadrature node."""
-
-
 class UnsupportedOrder(OscRenormError):
     """Gauss-Hermite weights at this order are not all finite and positive."""
 

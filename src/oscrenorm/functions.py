@@ -1,16 +1,15 @@
-"""Evaluable functions on field space, the oscillator-group action and the
-interaction generating function ``wtilde``.
+"""Evaluable functions on field space and the interaction generating
+function ``wtilde``.
 
 A ``FieldFunction`` is a pure evaluator plus structural metadata: the
-``Polynomial`` it evaluates, if it is a polynomial, and two integrability
-flags.  ``integrable`` means that exp of the function decays against a
-Gaussian, which ``wtilde`` asks of an interaction; ``l1`` means that the
-function itself is integrable on R^n, which ``convolve_numeric`` asks of
-one factor.  Functions are evaluated pointwise and integrated with
-tensor-product Gauss-Hermite quadrature, and every weighted sum over a
-rule's nodes is taken here: ``_shifted_terms`` shifts it by its peak,
-``convolve_numeric`` takes the linear sum under the ``_OVERFLOW_LOG``
-guard, and ``wtilde`` takes its log.
+``Polynomial`` it evaluates, if it is a polynomial, and one integrability
+flag, ``integrable``: exp of the function decays against a Gaussian, which
+``wtilde`` asks of an interaction.  Functions are evaluated pointwise, and
+``wtilde`` integrates exp of an interaction against a Gaussian with
+tensor-product Gauss-Hermite quadrature.  That is the one weighted sum
+over a rule's nodes, and it stays in the log domain: ``_shifted_terms``
+shifts each row by its peak, and ``wtilde`` takes the log of the shifted
+sum.
 
 ``Polynomial`` alone reads an exponent table.  It takes powers by
 multiplication, never by numpy's ``pow``, whose path for negative bases is
@@ -30,10 +29,6 @@ every array operation here runs along the long point axis, one coordinate
 column or one term row at a time.  Short sums over coordinates or terms
 are taken in order from 0.0, as numpy's own sum takes them up to 7 terms,
 so a value's bits do not depend on the layout.
-
-The group acts on the right:
-
-    sigma(f, (M, k, v, c))(x) = exp(k(x) + c) * f(Mx + v)
 """
 
 from __future__ import annotations
@@ -45,23 +40,17 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, NonPositiveConvolution, NotIntegrable, QuadratureOverflow,
-)
+from .errors import DimensionMismatch, NonPositiveConvolution, NotIntegrable
 # default_order stays importable from here: perfbench/tracing.py reads
 # functions.default_order to count the nodes of default-order convolutions.
-from .gaussian import GaussianMeasure, QuadratureRule
+from .gaussian import QuadratureRule
 from .gaussian import default_order  # noqa: F401
-from .oscgroup import OscElement
 from .tensors import MAX_DIM, Frozen, GlElement, Sym2Tensor, as_block, as_vector
 
 #: (point, node) integrand rows one chunk of a Gaussian convolution aims
 #: at: a chunk holds max(1, _CHUNK_ROWS // q^n) points, so at most
 #: max(_CHUNK_ROWS, q^n) rows; bounds the memory of its temporaries.
 _CHUNK_ROWS = 4096
-
-#: log of the largest weighted integrand term a linear sum accepts.
-_OVERFLOW_LOG = 700.0
 
 
 def _dot(X: np.ndarray, w) -> np.ndarray:
@@ -212,14 +201,12 @@ class FieldFunction:
     ``evaluator`` maps a validated (m, n) block of points to its (m,)
     values; ``poly`` is the ``Polynomial`` it evaluates, if it is one.
     ``integrable``: exp of the function decays against a Gaussian.
-    ``l1``: the function itself is integrable on R^n.
     """
 
     evaluator: object
     dim: int
     poly: Polynomial | None = None
     integrable: bool = False
-    l1: bool = False
 
     def values(self, points) -> np.ndarray:
         """Values at the rows of an (m, n) block of points."""
@@ -246,51 +233,15 @@ class FieldFunction:
     def zero(cls, dim: int) -> "FieldFunction":
         return cls.constant(0.0, dim)
 
-    @classmethod
-    def gaussian(cls, C: Sym2Tensor) -> "FieldFunction":
-        g = GaussianMeasure(C)
-        return cls(
-            lambda X: np.exp(g.log_density(X)), C.dim, integrable=True, l1=True
-        )
-
-    @classmethod
-    def exp_polynomial(cls, terms, dim: int) -> "FieldFunction":
-        """exp of a polynomial, validated for integrability on R^n: exp of
-        degree <= 1 decays against a Gaussian, but is not integrable alone."""
-        poly = Polynomial.from_terms(terms, dim)
-        degree = poly.exponents.sum(axis=1).max(initial=0)
-        if degree <= 1 or not poly.exp_integrable():
-            raise NotIntegrable(
-                "exp-polynomial must have even maximal degree >= 2 with a "
-                "negative-definite leading form"
-            )
-        return cls(lambda X: np.exp(poly(X)), dim, integrable=True, l1=True)
-
-
-def sigma_act(f: FieldFunction, g: OscElement) -> FieldFunction:
-    """Right action (sigma f)(x) = exp(k(x) + c) f(Mx + v)."""
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {g.dim}")
-    m, k, v, c = g.m.matrix, g.k, g.v, g.c
-
-    def evaluator(X):
-        return np.exp(_dot(X, k) + c) * f.evaluator(_apply(m, X) + v)
-
-    # Gaussian-dominated decay survives the action: M is invertible and the
-    # exponential-linear prefactor is subdominant.  Exp-integrability does
-    # not survive: for f(x) = x, exp(k(x)) * x is unbounded above.
-    return FieldFunction(evaluator, f.dim, l1=f.l1)
-
 
 def compose(f: FieldFunction, M: GlElement) -> FieldFunction:
     """Plain composition f o M (no determinant prefactor); an invertible M
-    keeps both integrability flags."""
+    keeps ``integrable``."""
     if M.dim != f.dim:
         raise DimensionMismatch(f"dimension mismatch: {M.dim} vs {f.dim}")
     m = M.matrix
     return FieldFunction(
-        lambda X: f.evaluator(_apply(m, X)), f.dim,
-        integrable=f.integrable, l1=f.l1,
+        lambda X: f.evaluator(_apply(m, X)), f.dim, integrable=f.integrable
     )
 
 
@@ -300,43 +251,12 @@ def _shifted_terms(log_weights, log_values) -> tuple[np.ndarray, np.ndarray]:
 
     The shift is the row's peak, or 0 for an all-zero row (peak -inf), whose
     terms then stay 0.  A row with a NaN or +inf term gets NaN terms, which
-    every caller rejects."""
+    ``wtilde`` rejects."""
     e = log_weights + log_values
     peak = e.max(axis=1)
     shift = np.where(np.isneginf(peak), 0.0, peak)
     with np.errstate(invalid="ignore"):
         return shift, np.exp(e - shift[:, None])
-
-
-def convolve_numeric(
-    f: FieldFunction, g: FieldFunction, rule: QuadratureRule, x
-) -> float:
-    """Quadrature estimate of (f * g)(x) = int f(y) g(x - y) dy.
-
-    The integral is rewritten as an expectation under the rule's Gaussian
-    weight; at least one factor must be declared ``l1``, integrable on
-    R^n, and the weight covariance must dominate the decay of the product
-    for the estimate to converge.  The sum is exp(shift) * sum(sign * terms)
-    over the ``_shifted_terms`` of the one-point block; a peak above
-    ``_OVERFLOW_LOG`` raises QuadratureOverflow naming the point.
-    """
-    if f.dim != g.dim or f.dim != rule.dim:
-        raise DimensionMismatch("convolution factors and rule must share a dimension")
-    if not (f.l1 or g.l1):
-        raise NotIntegrable("at least one convolution factor must be integrable on R^n")
-    xv = as_vector(x, f.dim)
-    nodes = rule.nodes
-    # An overflowing product fails the guard below; a zero one gives
-    # log 0 = -inf and contributes exactly 0.
-    with np.errstate(over="ignore", divide="ignore"):
-        prod = f.evaluator(nodes) * g.evaluator(xv - nodes)
-        log_ratio = np.log(np.abs(prod)) - rule.measure.log_density(nodes)
-    shift, terms = _shifted_terms(np.log(rule.weights), log_ratio[None, :])
-    if shift[0] > _OVERFLOW_LOG:
-        raise QuadratureOverflow(
-            f"integrand magnitude exp({shift[0]:.1f}) at a node for the point {xv}"
-        )
-    return float((np.exp(shift) * np.sum(terms * np.sign(prod), axis=1))[0])
 
 
 def _rule_columns(P: Sym2Tensor, order: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -89,6 +89,12 @@ def _rel(a, b):
     return np.abs(a - b) / np.maximum(np.abs(a), 1e-12)
 
 
+def _log_gap(a, b):
+    """Relative gaps |exp(a) - exp(b)| / exp(b) of log-domain values,
+    elementwise."""
+    return np.abs(np.expm1(np.subtract(a, b)))
+
+
 # ---------------------------------------------------------------------------
 # sample helpers, shared with the test suite
 #
@@ -134,6 +140,19 @@ def random_osc(rng, n):
     return og.OscElement._from_parts(
         random_gl(rng, n), rng.normal(size=n), rng.normal(size=n), rng.normal()
     )
+
+
+def _log_gaussian(C):
+    """log N(C) as a coefficient table for ``FieldFunction.polynomial``: the
+    log-normalizer and the terms of -x C^-1 x / 2, with C^-1 taken from the
+    measure's Cholesky factor, so C is checked and factored once."""
+    g = gs.GaussianMeasure(C)
+    inv_chol = np.linalg.inv(g._chol)
+    precision, unit = inv_chol.T @ inv_chol, np.eye(C.dim, dtype=int)
+    return [((0,) * C.dim, g._log_norm)] + [
+        (unit[i] + unit[j], -0.5 * precision[i, j])
+        for i in range(C.dim) for j in range(C.dim)
+    ]
 
 
 def element_gap(a: og.OscElement, b: og.OscElement) -> float:
@@ -245,15 +264,11 @@ def _wrong_covariance(rng, n):
 
 
 def _gaussian_convolution(rng, n):
+    # The convolution theorem N(B) * N(A) = N(A + B), in the log domain.
     A, B = tn.Sym2Tensor([[1.0]]), tn.Sym2Tensor([[2.0]])
-    exact = gs.GaussianMeasure(A + B)
-    fa, fb = fn.FieldFunction.gaussian(A), fn.FieldFunction.gaussian(B)
-    errors = []
-    for x in np.linspace(-3.0, 3.0, 21):
-        want = math.exp(exact.log_eval([x]))
-        got = fn.convolve_numeric(fa, fb, _rule_1d(1.0, 40), [x])
-        errors.append(abs(got - want) / want)
-    return errors
+    got = fn.wtilde(B, fn.FieldFunction.polynomial(_log_gaussian(A), 1), order=40)
+    X = np.linspace(-3.0, 3.0, 21)[:, None]
+    return _log_gap(got.values(X), gs.GaussianMeasure(A + B).log_density(X))
 
 
 def _gl_action(rng, n):
@@ -268,70 +283,71 @@ def _gl_action(rng, n):
 
 
 def _normalization(rng, n):
-    # The integral of N(C) is (N(C) * 1)(0); the rule's weight is 2C, not C,
-    # so the result is a genuine quadrature estimate, not an identity of it.
+    # N(C) integrates to 1, i.e. wtilde(2C, log N(C) - log N(2C))(0) = 0,
+    # where log N(C) - log N(2C) = -x C^-1 x / 4 + (n / 2) log 2. The weight
+    # is 2C, not C, so the result is a genuine quadrature estimate, not an
+    # identity of it.
     C = random_spd(rng, n)
-    total = fn.convolve_numeric(
-        fn.FieldFunction.gaussian(C), fn.FieldFunction.constant(1.0, n),
-        fn.QuadratureRule.for_covariance(2.0 * C), np.zeros(n),
+    I = fn.FieldFunction.polynomial(
+        [((0,) * n, 0.5 * n * math.log(2.0))]
+        + [(e, 0.5 * c) for e, c in _log_gaussian(C) if any(e)],
+        n,
     )
-    return abs(total - 1.0)
+    return _log_gap(fn.wtilde(2.0 * C, I)(np.zeros(n)), 0.0)
 
 
 # ---------------------------------------------------------------------------
-# convolution suite (1-D); its rules and factors are built on first use
+# convolution suite (1-D), on the interaction I(x) = a x^2 + b x with
+# (a, b) = _QUADRATIC. A group element acts on I exactly, as the polynomial
+# whose terms each check writes out. Every draw asks for the same covariances
+# and interactions, so each is built once, and each covariance keeps its
+# quadrature rule.
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _rule_1d(variance, order):
-    return fn.QuadratureRule.for_covariance(tn.Sym2Tensor([[variance]]), order=order)
+_QUADRATIC = (-0.3, 0.2)
 
 
 @functools.cache
-def _factors():
-    return (
-        fn.FieldFunction.gaussian(tn.Sym2Tensor([[1.0]])),
-        fn.FieldFunction.exp_polynomial([((2,), -0.3), ((1,), 0.2)], 1),
-    )
+def _covariance(p):
+    return tn.Sym2Tensor([[p]])
+
+
+@functools.cache
+def _quadratic(a, b, c=0.0):
+    """a x^2 + b x + c on R^1."""
+    return fn.FieldFunction.polynomial([((2,), a), ((1,), b), ((0,), c)], 1)
 
 
 def _conv_commutativity(rng, n):
-    (f, g), rule, x = _factors(), _rule_1d(0.8, 40), rng.uniform(-1.5, 1.5)
-    return abs(
-        fn.convolve_numeric(f, g, rule, [x]) - fn.convolve_numeric(g, f, rule, [x])
-    )
+    P1, P2, I = _covariance(0.8), _covariance(0.5), _quadratic(*_QUADRATIC)
+    x = rng.uniform(-1.5, 1.5)
+    one = fn.wtilde(P1, fn.wtilde(P2, I, order=40), order=40)
+    other = fn.wtilde(P2, fn.wtilde(P1, I, order=40), order=40)
+    return _log_gap(one([x]), other([x]))
 
 
 def _linear_source_action(rng, n):
-    # det(M) factors out of the convolution of the acted factors.
-    (f, g), x = _factors(), rng.uniform(-1.0, 1.0)
-    M, k = tn.GlElement([[1.5]]), np.array([0.4])
-    gel = og.OscElement(M, k, np.zeros(1), 0.0)
-    lhs = math.exp(float(k @ [x])) * fn.convolve_numeric(
-        f, g, _rule_1d(0.8, 40), M.matrix @ [x]
-    )
-    acted = fn.sigma_act(f, gel), fn.sigma_act(g, gel)
-    return _rel(lhs, M.det * fn.convolve_numeric(*acted, _rule_1d(0.5, 48), [x]))
+    # wtilde(P, k x + I o M)(x) = k x + k P k / 2 + wtilde(M P M, I)(M (x + P k))
+    (a, b), m, k, p, x = _QUADRATIC, 1.5, 0.4, 0.8, rng.uniform(-1.0, 1.0)
+    P, MPM = _covariance(p), _covariance(m * p * m)
+    lhs = fn.wtilde(P, _quadratic(a * m * m, b * m + k), order=40)([x])
+    inner = fn.wtilde(MPM, _quadratic(a, b), order=48)([m * (x + p * k)])
+    return _log_gap(lhs, k * x + 0.5 * k * p * k + inner)
 
 
 def _translation_action(rng, n):
-    # The shift may live on either factor.
-    (f, g), rule, x = _factors(), _rule_1d(0.8, 40), rng.uniform(-1.0, 1.0)
-    shift = og.OscElement(tn.GlElement.identity(1), np.zeros(1), np.array([0.3]), 0.2)
-    lhs = math.exp(0.2) * fn.convolve_numeric(f, g, rule, np.array([x + 0.3]))
-    return _rel(lhs, np.array([
-        fn.convolve_numeric(fn.sigma_act(f, shift), g, rule, [x]),
-        fn.convolve_numeric(f, fn.sigma_act(g, shift), rule, [x]),
-    ]))
+    # wtilde(P, I(. + v) + c)(x) = c + wtilde(P, I)(x + v)
+    (a, b), v, c, x = _QUADRATIC, 0.3, 0.2, rng.uniform(-1.0, 1.0)
+    P = _covariance(0.8)
+    shifted = _quadratic(a, 2.0 * a * v + b, a * v * v + b * v + c)
+    lhs = fn.wtilde(P, shifted, order=40)([x])
+    return _log_gap(lhs, c + fn.wtilde(P, _quadratic(a, b), order=40)([x + v]))
 
 
 def _convolve_constant(rng, n):
-    one = fn.FieldFunction.constant(1.0, 1)
-    gau = fn.FieldFunction.gaussian(tn.Sym2Tensor([[1.3]]))
-    return [
-        abs(fn.convolve_numeric(gau, one, _rule_1d(1.3, 40), [x]) - 1.0)
-        for x in (-2.0, 0.0, 1.0)
-    ]
+    # N(P) * 1 = 1, i.e. wtilde(P, 0) = 0.
+    out = fn.wtilde(_covariance(1.3), fn.FieldFunction.zero(1), order=40)
+    return _log_gap(out.values([[-2.0], [0.0], [1.0]]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,12 @@ from oscrenorm import (
     FieldFunction,
     GaussianMeasure,
     NonPositiveConvolution,
-    OscElement,
     PropagatorFamily,
     QuadratureRule,
     Sym2Tensor,
     as_vector,
     compose,
     renorm_step,
-    sigma_act,
     wtilde,
 )
 from oscrenorm import functions
@@ -33,8 +31,8 @@ from conftest import random_gl_pos, random_spd
 ORDERS = {1: 12, 2: 6, 3: 4, 4: 3}
 
 CASES = (
-    "polynomial", "nine_term_polynomial", "exp_polynomial", "compose",
-    "sigma_act", "wtilde", "nested_renorm_step",
+    "polynomial", "nine_term_polynomial", "compose", "wtilde", "wtilde_of_compose",
+    "compose_of_wtilde", "nested_renorm_step",
 )
 
 
@@ -63,23 +61,24 @@ def nine_term_interaction(n):
 def cases(n):
     rng = np.random.default_rng(100 + n)
     I = interaction(n)
-    g = OscElement(
-        random_gl_pos(rng, n), 0.2 * rng.normal(size=n), rng.normal(size=n), 0.1
-    )
     fam = PropagatorFamily.with_default_dilation(random_spd(rng, n, 0.3))
     q = ORDERS[n]
     half = math.sqrt(2.0)
-    return {
+    fs = {
         "polynomial": I,
         "nine_term_polynomial": nine_term_interaction(n),
-        "exp_polynomial": FieldFunction.exp_polynomial(I.poly.terms, n),
         "compose": compose(I, random_gl_pos(rng, n)),
-        "sigma_act": sigma_act(I, g),
         "wtilde": wtilde(random_spd(rng, n, 0.3), I, order=q),
         "nested_renorm_step": renorm_step(
             fam, half, renorm_step(fam, half, I, order=q), order=q
         ),
     }
+    # An interaction acted on by a linear map, as the convolution checks
+    # take it, and the map acting on a convolution.
+    P, M = random_spd(rng, n, 0.3), random_gl_pos(rng, n)
+    fs["wtilde_of_compose"] = wtilde(P, compose(I, M), order=q)
+    fs["compose_of_wtilde"] = compose(wtilde(P, I, order=q), M)
+    return fs
 
 
 def assert_same_as_pointwise(f, X):
@@ -102,7 +101,7 @@ def test_poly_is_what_the_function_evaluates(n):
     X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(6, n))
     fs = cases(n)
     assert fs["polynomial"].poly is not None
-    assert fs["exp_polynomial"].poly is None
+    assert fs["wtilde"].poly is None
     for f in fs.values():
         assert f.poly is None or f.values(X).tobytes() == f.poly(X).tobytes()
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from oscrenorm import (
     DimensionMismatch,
@@ -12,20 +13,15 @@ from oscrenorm import (
     GaussianMeasure,
     GlElement,
     NotIntegrable,
-    OscElement,
-    QuadratureOverflow,
     QuadratureRule,
     Sym2Tensor,
     UnsupportedOrder,
     compose,
-    convolve_numeric,
-    osc_mul,
-    sigma_act,
     wtilde,
 )
 from oscrenorm.functions import Polynomial, _directions
 from oscrenorm.gaussian import _hermite
-from oscrenorm.verify import find_check
+from oscrenorm.verify import _log_gaussian, find_check
 from conftest import random_gl_pos, random_spd
 
 
@@ -51,12 +47,6 @@ class TestFieldFunction:
     def test_rejects_bad_exponents(self):
         with pytest.raises(DimensionMismatch):
             FieldFunction.polynomial([((1, 2), 1.0)], dim=1)
-
-    def test_gaussian_kind(self):
-        f = FieldFunction.gaussian(Sym2Tensor.identity(1))
-        g = GaussianMeasure(Sym2Tensor.identity(1))
-        assert f([0.5]) == pytest.approx(math.exp(g.log_eval([0.5])))
-        assert f.integrable
 
     def test_rejects_nonintegral_exponent(self):
         # Truncating 4.7 to 4 would run a different interaction.
@@ -340,19 +330,6 @@ class TestIntegrabilityFlag:
         terms = [((738, 0), -0.1), ((0, 738), -0.1), ((369, 369), 0.05)]
         assert FieldFunction.polynomial(terms, dim=2).integrable
 
-    def test_exp_polynomial_guards(self):
-        with pytest.raises(NotIntegrable):
-            FieldFunction.exp_polynomial([((4,), 1.0)], dim=1)
-        f = FieldFunction.exp_polynomial([((2,), -0.5)], dim=1)
-        assert f([2.0]) == pytest.approx(math.exp(-2.0))
-
-    @pytest.mark.parametrize("terms", [[((1,), 0.3)], [((0,), 0.0)], [((0,), -1.0)]])
-    def test_exp_polynomial_rejects_degree_at_most_one(self, terms):
-        # exp of such a polynomial decays against a Gaussian, but its
-        # integral over R diverges.
-        with pytest.raises(NotIntegrable):
-            FieldFunction.exp_polynomial(terms, dim=1)
-
 
 def count_linalg(monkeypatch) -> dict:
     """Calls of np.linalg.eigvalsh and np.linalg.cholesky from now on."""
@@ -410,17 +387,9 @@ class TestQuadratureRule:
         wtilde(P, I, order=6)
         assert calls == {"eigvalsh": 1, "cholesky": 1}
 
-    def test_convolve_numeric_reuses_the_rule_measure(self, monkeypatch):
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0, 0.2], [0.2, 0.5]]), order=6)
-        f = FieldFunction.exp_polynomial([((2, 0), -0.5), ((0, 2), -0.5)], dim=2)
-        g = FieldFunction.polynomial([((1, 1), 1.0), ((0, 0), 2.0)], dim=2)
-        calls = count_linalg(monkeypatch)
-        convolve_numeric(f, g, rule, [0.3, -0.2])
-        assert calls == {"eigvalsh": 0, "cholesky": 0}
-
     def test_normalization_checks_and_factors_its_weight_once(self, monkeypatch, rng):
-        # One draw in 2-D: N(C) and the rule at 2C are each checked and
-        # factored once.
+        # One draw in 2-D: N(C), whose log is the interaction, and the rule
+        # at 2C are each checked and factored once.
         _hermite(20)
         calls = count_linalg(monkeypatch)
         find_check("gaussian-normalization").sample(rng, 2)
@@ -465,53 +434,11 @@ class TestQuadratureRule:
         assert _hermite.cache_info().currsize == cached
 
 
-class TestSigmaAction:
-    def test_pointwise_formula(self):
-        f = FieldFunction.polynomial([((2,), 1.0)], dim=1)
-        g = OscElement(GlElement([[2.0]]), [3.0], [1.0], 0.5)
-        out = sigma_act(f, g)
-        x = 0.7
-        expected = math.exp(3.0 * x + 0.5) * (2.0 * x + 1.0) ** 2
-        assert out([x]) == pytest.approx(expected, rel=1e-13)
-
-    def test_identity_acts_trivially(self, rng):
-        f = quartic_1d()
-        out = sigma_act(f, OscElement.identity(1))
-        for x in rng.normal(size=5):
-            assert out([x]) == pytest.approx(f([x]))
-
-    def test_right_action_law(self, rng):
-        f = FieldFunction.polynomial([((2, 0), -1.0), ((0, 2), -2.0)], dim=2)
-        for _ in range(20):
-            g = OscElement(
-                random_gl_pos(rng, 2), rng.normal(size=2), rng.normal(size=2),
-                rng.normal(),
-            )
-            h = OscElement(
-                random_gl_pos(rng, 2), rng.normal(size=2), rng.normal(size=2),
-                rng.normal(),
-            )
-            x = rng.normal(size=2)
-            staged = sigma_act(sigma_act(f, g), h)
-            direct = sigma_act(f, osc_mul(g, h))
-            assert staged(x) == pytest.approx(direct(x), rel=1e-9, abs=1e-12)
-
-    def test_preserves_integrability(self):
-        # The action keeps integrability on R^n, but not exp-integrability:
-        # exp(x) * x is unbounded above.
-        g = OscElement(GlElement([[2.0]]), [1.0], [0.0], 0.0)
-        assert sigma_act(FieldFunction.gaussian(Sym2Tensor([[1.0]])), g).l1
-        linear = FieldFunction.polynomial([((1,), 1.0)], dim=1)
-        acted = sigma_act(linear, g)
-        assert linear.integrable and not acted.integrable and not acted.l1
-
-
 class TestGlFunctionAction:
-    def test_compose_keeps_both_flags(self):
+    def test_compose_keeps_integrability(self):
         M = GlElement([[3.0]])
         assert compose(quartic_1d(), M).integrable
-        assert not compose(quartic_1d(), M).l1
-        assert compose(FieldFunction.gaussian(Sym2Tensor([[1.0]])), M).l1
+        assert not compose(quartic_1d(-1.0), M).integrable
 
     def test_compose_has_no_prefactor(self):
         f = FieldFunction.constant(1.0, 1)
@@ -523,76 +450,112 @@ class TestGlFunctionAction:
         for x in rng.normal(size=5):
             assert compose(f, M)([x]) == pytest.approx(f([0.5 * x]))
 
+    def test_identity_acts_trivially(self, rng):
+        f = quartic_1d()
+        out = compose(f, GlElement.identity(1))
+        for x in rng.normal(size=5):
+            assert out([x]) == f([x])
 
-class TestConvolveNumeric:
+    def test_composition_law(self, rng):
+        # (f o A) o B = f o (A B)
+        f = FieldFunction.polynomial([((2, 0), -1.0), ((0, 2), -2.0), ((1, 1), 0.5)], dim=2)
+        for _ in range(20):
+            A, B = random_gl_pos(rng, 2), random_gl_pos(rng, 2)
+            x = rng.normal(size=2)
+            staged = compose(compose(f, A), B)
+            assert staged(x) == pytest.approx(compose(f, A @ B)(x), rel=1e-12, abs=1e-14)
+
+
+def log_gap(a, b) -> float:
+    """Relative gap |exp(a - b) - 1| of the values whose logs are a and b."""
+    return abs(math.expm1(a - b))
+
+
+def linear_plus(k, f: FieldFunction) -> FieldFunction:
+    """x -> k . x + f(x)."""
+    k = np.asarray(k, dtype=float)
+    return FieldFunction(
+        lambda X: X @ k + f.evaluator(X), f.dim, integrable=f.integrable
+    )
+
+
+class TestWtildeLaws:
+    """The laws of Gaussian convolution, N(B) * N(A) = N(A + B), commutativity
+    and the action of affine maps, stated for exp o I in the log form that
+    ``wtilde`` returns."""
+
     def test_gaussian_pair_closed_form(self):
-        a = FieldFunction.gaussian(Sym2Tensor([[1.0]]))
-        b = FieldFunction.gaussian(Sym2Tensor([[2.0]]))
-        target = FieldFunction.gaussian(Sym2Tensor([[3.0]]))
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[2.5]]), order=50)
+        log_a = FieldFunction.polynomial(_log_gaussian(Sym2Tensor([[1.0]])), 1)
+        out = wtilde(Sym2Tensor([[2.0]]), log_a, order=50)
+        target = GaussianMeasure(Sym2Tensor([[3.0]]))
         for x in (-1.0, 0.0, 1.7):
-            est = convolve_numeric(a, b, rule, [x])
-            assert est == pytest.approx(target([x]), rel=1e-8)
+            assert log_gap(out([x]), target.log_eval([x])) <= 1e-8
 
     def test_2d_gaussian_pair(self):
         A = Sym2Tensor([[1.0, 0.3], [0.3, 1.0]])
         B = Sym2Tensor.diagonal([0.5, 2.0])
-        a, b = FieldFunction.gaussian(A), FieldFunction.gaussian(B)
-        target = FieldFunction.gaussian(A + B)
-        rule = QuadratureRule.for_covariance(2.0 * A, order=24)
+        out = wtilde(B, FieldFunction.polynomial(_log_gaussian(A), 2), order=24)
         x = np.array([0.4, -0.6])
-        assert convolve_numeric(a, b, rule, x) == pytest.approx(
-            target(x), rel=1e-4
-        )
+        assert log_gap(out(x), GaussianMeasure(A + B).log_eval(x)) <= 1e-4
 
     def test_commutative(self):
-        a = FieldFunction.gaussian(Sym2Tensor([[1.0]]))
-        b = FieldFunction.gaussian(Sym2Tensor([[2.0]]))
-        r1 = QuadratureRule.for_covariance(Sym2Tensor([[1.8]]), order=50)
-        r2 = QuadratureRule.for_covariance(Sym2Tensor([[2.8]]), order=50)
-        assert convolve_numeric(a, b, r1, [0.9]) == pytest.approx(
-            convolve_numeric(b, a, r2, [0.9]), rel=1e-8
-        )
-
-    def test_requires_an_integrable_factor(self):
-        p = FieldFunction.polynomial([((4,), 1.0)], dim=1)
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0]]), order=10)
-        with pytest.raises(NotIntegrable):
-            convolve_numeric(p, p, rule, [0.0])
+        I = FieldFunction.polynomial([((2,), -0.3), ((1,), 0.2)], dim=1)
+        P1, P2 = Sym2Tensor([[1.0]]), Sym2Tensor([[2.0]])
+        one = wtilde(P1, wtilde(P2, I, order=50), order=50)
+        other = wtilde(P2, wtilde(P1, I, order=50), order=50)
+        assert log_gap(one([0.9]), other([0.9])) <= 1e-8
 
     @pytest.mark.parametrize("variance", [1.0, 4.0, 16.0])
-    def test_constants_are_not_integrable_on_the_line(self, variance):
-        # exp o 0 decays against a Gaussian, but 1 * 1 has no convolution;
-        # the rule's estimate would grow with its variance.
-        one = FieldFunction.constant(1.0, 1)
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[variance]]), order=10)
-        with pytest.raises(NotIntegrable):
-            convolve_numeric(one, one, rule, [0.0])
+    def test_constants_pass_through(self, variance):
+        # N(P) * exp(c) = exp(c) at every variance: the rule's weights sum to 1.
+        out = wtilde(Sym2Tensor([[variance]]), FieldFunction.constant(0.7, 1), order=10)
+        np.testing.assert_allclose(
+            out.values([[-3.0], [0.0], [2.0]]), 0.7, rtol=0.0, atol=1e-14
+        )
 
-    def test_wtilde_is_not_integrable_on_the_line(self):
-        out = wtilde(Sym2Tensor([[1.0]]), quartic_1d())
-        assert out.integrable and not out.l1
+    @pytest.mark.parametrize("offset", [-800.0, 800.0])
+    def test_offset_passes_through_unscaled(self, offset):
+        # exp(-800) underflows a linear sum to 0 and exp(800) overflows it;
+        # in the log domain an offset of the interaction is one of the result.
+        P, I = Sym2Tensor([[1.0]]), quartic_1d(0.25, 0.5)
+        shifted = FieldFunction.polynomial(list(I.poly.terms) + [((0,), offset)], 1)
+        X = [[-1.5], [0.0], [0.4]]
+        np.testing.assert_allclose(
+            wtilde(P, shifted, order=20).values(X) - wtilde(P, I, order=20).values(X),
+            offset, rtol=0.0, atol=1e-12,
+        )
 
-    def test_overflow_guard(self):
-        big = FieldFunction(evaluator=lambda X: np.full(len(X), 1e300), dim=1, l1=True)
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[100.0]]), order=10)
-        with pytest.raises(QuadratureOverflow, match=r"for the point \[0\.\]"):
-            convolve_numeric(big, big, rule, [0.0])
-
-    def test_all_products_underflow_to_zero(self):
-        # Every node product is 0, so every log term is -inf; the sum is 0.
-        g = FieldFunction.gaussian(Sym2Tensor([[1e-4]]))
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[1e-4]]), order=10)
-        assert convolve_numeric(g, g, rule, [50.0]) == 0.0
-
-    def test_signed_factor(self):
-        # int y N(1)(x - y) dy = x, with a factor that changes sign.
-        y = FieldFunction.polynomial([((1,), 1.0)], dim=1)
-        g = FieldFunction.gaussian(Sym2Tensor([[1.0]]))
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0]]), order=40)
+    @pytest.mark.parametrize("k", [-0.7, 0.0, 1.3])
+    def test_linear_interaction(self, k):
+        # A linear interaction changes sign on the line: log E exp(k (x - y))
+        # over y ~ N(p) is k x + k p k / 2.
+        p = 0.8
+        out = wtilde(Sym2Tensor([[p]]), FieldFunction.polynomial([((1,), k)], 1), order=40)
         for x in (-1.3, 0.0, 0.7):
-            assert convolve_numeric(y, g, rule, [x]) == pytest.approx(x, abs=1e-12)
-            assert convolve_numeric(g, y, rule, [x]) == pytest.approx(x, abs=1e-12)
+            assert out([x]) == pytest.approx(k * x + 0.5 * k * p * k, rel=0.0, abs=1e-12)
+
+    def test_linear_source_and_linear_map_act_2d(self, rng):
+        # wtilde(P, k.x + I o M)(x) = k.x + kPk/2 + wtilde(M P M^T, I)(M (x + P k))
+        I = FieldFunction.polynomial([((2, 0), -0.3), ((0, 2), -0.2), ((1, 1), 0.1),
+                                      ((1, 0), 0.2)], dim=2)
+        P, M, k = random_spd(rng, 2, 0.5), random_gl_pos(rng, 2), np.array([0.4, -0.3])
+        MPM = Sym2Tensor(M.matrix @ P.matrix @ M.matrix.T)
+        lhs = wtilde(P, linear_plus(k, compose(I, M)), order=24)
+        inner = wtilde(MPM, I, order=24)
+        for x in rng.uniform(-1.0, 1.0, size=(5, 2)):
+            kPk = k @ P.matrix @ k
+            want = k @ x + 0.5 * kPk + inner(M.matrix @ (x + P.matrix @ k))
+            assert log_gap(lhs(x), want) <= 1e-6
+
+    def test_translation_acts_2d(self, rng):
+        # wtilde(P, I(. + v) + c)(x) = c + wtilde(P, I)(x + v)
+        I = FieldFunction.polynomial([((2, 0), -0.3), ((0, 2), -0.2), ((1, 1), 0.1),
+                                      ((0, 1), 0.2)], dim=2)
+        P, v, c = random_spd(rng, 2, 0.5), np.array([0.3, -0.2]), 0.2
+        shifted = FieldFunction(lambda X: I.evaluator(X + v) + c, 2, integrable=True)
+        lhs, rhs = wtilde(P, shifted, order=24), wtilde(P, I, order=24)
+        for x in rng.uniform(-1.0, 1.0, size=(5, 2)):
+            assert log_gap(lhs(x), c + rhs(x + v)) <= 1e-6
 
 
 class TestGaussConvolveExp:
@@ -612,17 +575,22 @@ class TestGaussConvolveExp:
         out = wtilde(Sym2Tensor([[2.0]]), FieldFunction.zero(1))
         assert out(np.array([1.2])) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_convolve_numeric(self):
-        P = Sym2Tensor([[0.5]])
-        I = quartic_1d(0.25)
-        exp_I = FieldFunction.exp_polynomial(I.poly.terms, dim=1)
-        gp = FieldFunction.gaussian(P)
-        rule = QuadratureRule.for_covariance(Sym2Tensor([[1.0]]), order=60)
-        out = wtilde(P, I, order=60)
+    def test_matches_scipy_quad(self):
+        # int N(P)(y) exp(I(x - y)) dy by adaptive quadrature, which shares
+        # no code with the library.
+        p, I = 0.5, quartic_1d(0.25)
+        out = wtilde(Sym2Tensor([[p]]), I, order=60)
         for x in (0.0, 0.8):
-            assert math.exp(out(np.array([x]))) == pytest.approx(
-                convolve_numeric(gp, exp_I, rule, [x]), rel=1e-5
+            want, _ = quad(
+                lambda y: math.exp(-y * y / (2 * p) - 0.25 * (x - y) ** 4),
+                -math.inf, math.inf, epsabs=0.0, epsrel=1e-12,
             )
+            assert math.exp(out(np.array([x]))) == pytest.approx(
+                want / math.sqrt(2 * math.pi * p), rel=1e-5
+            )
+
+    def test_result_is_integrable(self):
+        assert wtilde(Sym2Tensor([[1.0]]), quartic_1d()).integrable
 
     def test_rejects_nonintegrable(self):
         p = FieldFunction.polynomial([((4,), 1.0)], dim=1)

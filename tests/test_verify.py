@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscrenorm
-from oscrenorm import functions, oscgroup, tensors
+from oscrenorm import NotPositiveDefinite, functions, gaussian, oscgroup, tensors
 from oscrenorm.cli import cmd_verify, main
 from oscrenorm.verify import (
     CHECKS,
     SUITES,
+    _log_gaussian,
     element_gap,
     find_check,
     random_gl,
     random_osc,
+    random_spd,
     random_sym,
     run_suite,
 )
@@ -88,12 +90,8 @@ def test_one_run_forks_its_helpers_once(monkeypatch, cpus, helpers):
     pytest.param("parent", oscgroup, "osc_mul", "group", id="parent"),
     pytest.param("helper", oscgroup, "osc_mul", "group", id="helper"),
     # A check of a later suite fails while the group checks still run.
-    pytest.param(
-        "parent", functions, "convolve_numeric", "all", id="later-suite-parent"
-    ),
-    pytest.param(
-        "helper", functions, "convolve_numeric", "all", id="later-suite-helper"
-    ),
+    pytest.param("parent", functions, "wtilde", "all", id="later-suite-parent"),
+    pytest.param("helper", functions, "wtilde", "all", id="later-suite-helper"),
 ])
 def test_error_in_a_check_is_raised_and_helpers_are_reaped(
     monkeypatch, raiser, module, name, suite
@@ -193,6 +191,24 @@ def test_element_gap_propagates_nan():
     g = oscgroup.OscElement.identity(2)
     h = types.SimpleNamespace(m=g.m, k=g.k, v=g.v, c=float("nan"))
     assert np.isnan(element_gap(g, h))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_log_gaussian_is_the_log_density(n):
+    rng = np.random.default_rng(n)
+    C = random_spd(rng, n)
+    log_n = functions.FieldFunction.polynomial(_log_gaussian(C), n)
+    X = rng.uniform(-2.0, 2.0, size=(7, n))
+    assert log_n.integrable
+    np.testing.assert_allclose(
+        log_n.values(X), gaussian.GaussianMeasure(C).log_density(X),
+        rtol=1e-12, atol=1e-12,
+    )
+
+
+def test_log_gaussian_rejects_a_covariance_that_is_not_positive_definite():
+    with pytest.raises(NotPositiveDefinite):
+        _log_gaussian(tensors.Sym2Tensor([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_verify_output_independent_of_warm_caches():
