@@ -13,6 +13,20 @@ finiteness, and symmetry or conditioning).  Entry-by-entry arithmetic on
 validated symmetric tensors (``+``, ``-``, unary ``-``, scalar ``*``) yields
 a bit-for-bit symmetric result, so it re-checks only finiteness.
 
+Stacks.  A ``Sym2Tensor`` or ``GlElement`` may hold a stack of matrices,
+shape (..., n, n), for a stack of elements: ``dim`` is n, and ``_smin`` and
+``_smax`` hold one bound per matrix.  Every operation takes the leading
+axes as a stack and broadcasts a single element against a stack, so a
+law is written once for both.  Stacks enter only through the private
+constructors (``Sym2Tensor._exact``, ``GlElement._from_svd``); the public
+constructors accept one element and reject anything else.  A stacked
+result checks each matrix as the single-element operation does and raises
+what it raises, for the first matrix that fails.  Each matrix of a stacked
+result equals the single-element result bit for bit: products are numpy
+matmuls, and a vector product inserts an axis (``k[..., None, :] @ M``)
+rather than calling ``np.einsum``, which rounds differently.  A single
+element keeps Python floats where a stack keeps arrays.
+
 Products of validated transforms are certified without an SVD where the
 bounds allow.  Each ``GlElement`` stores a lower bound on its smallest
 singular value and an upper bound on its largest: public construction takes
@@ -25,13 +39,12 @@ product, ``gamma_n = n eps / (1 - n eps)``, and a few more ulps cover the
 rounding of the bounds themselves.  When the lower bound exceeds
 ``SINGULAR_RTOL + 2 _SVD_RTOL`` times the upper bound, an SVD of C could not
 reject it, so C re-checks only finiteness and keeps these bounds as its own.
-Otherwise C goes through the public constructor, which raises exactly what
-it always did.
+Otherwise C takes its bounds from its SVD, as public construction would,
+and raises exactly what public construction raises.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -89,6 +102,12 @@ def as_block(points, dim: int) -> np.ndarray:
     return b
 
 
+def _finite(m: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries must be finite")
+    return m
+
+
 def _as_square(matrix, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim == 0:
@@ -99,14 +118,77 @@ def _as_square(matrix, what: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{what} dimension {m.shape[0]} exceeds supported cap {MAX_DIM}"
         )
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} entries must be finite")
-    return m
+    return _finite(m, what)
 
 
 def _inf_norm(m: np.ndarray) -> float:
     """Max absolute row sum; the same reduction as ``np.linalg.norm(m, np.inf)``."""
     return np.abs(m).sum(axis=1).max()
+
+
+def _vecmat(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Dual vectors composed with transforms, kM, i.e. M^T k."""
+    return (k[..., None, :] @ m)[..., 0, :]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Transforms applied to vectors, Mv."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _dot(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pairings k(v) of dual vectors with vectors."""
+    return (k[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _float_or_stack(x):
+    """A scalar field value: a Python float for one element, else the
+    array of one value per element of a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _first(failed: np.ndarray, *values) -> tuple:
+    """The first failing element's entries of ``values``; ``failed`` and
+    each value hold one entry per element, or are scalars."""
+    i = np.argmax(failed)
+    return tuple(np.ravel(value)[i] for value in values)
+
+
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    """The symmetric part of each finite square matrix of a stack, after
+    rejecting asymmetry beyond ``SYMMETRY_RTOL`` relative to its norm."""
+    # Both norms are taken of m / 32: dividing by a power of two is exact,
+    # and for n <= MAX_DIM a row sum of n differences stays finite. They
+    # are the _inf_norm of each half of one stacked block: the row sums
+    # reduce the same contiguous rows, so they match it bit for bit.
+    unit = m * 0.03125
+    block = np.concatenate((unit, unit - np.swapaxes(unit, -1, -2)), axis=-2)
+    norms = np.abs(block).sum(axis=-1).reshape(*m.shape[:-2], 2, -1).max(axis=-1)
+    scale, asym = norms[..., 0], norms[..., 1]
+    failed = asym > SYMMETRY_RTOL * scale
+    if failed.any():
+        asym, scale = _first(failed, asym, scale)
+        raise DimensionMismatch(
+            f"relative matrix asymmetry {asym / scale:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e}"
+        )
+    # Halving before adding keeps entries near the float maximum finite.
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
+
+
+def _svd_bounds(svals: np.ndarray) -> tuple:
+    """Bounds on the smallest and largest singular values of each matrix,
+    from its singular values in descending order, as ``np.linalg.svd``
+    returns them; a matrix singular to working precision raises."""
+    smin, smax = svals[..., -1], svals[..., 0]
+    singular = smin <= SINGULAR_RTOL * smax
+    if singular.any():
+        smin, smax = _first(singular, smin, smax)
+        raise SingularTensor(
+            f"transform is singular to working precision "
+            f"(sigma_min/sigma_max = {smin / smax:.3e})"
+        )
+    return smin - _SVD_RTOL * smax, smax + _SVD_RTOL * smax
 
 
 class Frozen:
@@ -135,31 +217,16 @@ class Sym2Tensor(Frozen):
     matrix: np.ndarray
 
     def __init__(self, matrix):
-        m = _as_square(matrix, "symmetric 2-tensor")
-        # Both norms are taken of m / 32: dividing by a power of two is exact,
-        # and for n <= MAX_DIM a row sum of n differences stays finite. They
-        # are the _inf_norm of each half of one stacked block: the row sums
-        # reduce the same contiguous rows, so they match it bit for bit.
-        unit = m * 0.03125
-        block = np.concatenate((unit, unit - unit.T))
-        scale, asym = np.abs(block).sum(axis=1).reshape(2, -1).max(axis=1)
-        if asym > SYMMETRY_RTOL * scale:
-            raise DimensionMismatch(
-                f"relative matrix asymmetry {asym / scale:.3e} exceeds "
-                f"{SYMMETRY_RTOL:.0e}"
-            )
-        # Halving before adding keeps entries near the float maximum finite.
-        sym = 0.5 * m + 0.5 * m.T
+        sym = _symmetric(_as_square(matrix, "symmetric 2-tensor"))
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
     @classmethod
     def _exact(cls, matrix: np.ndarray) -> "Sym2Tensor":
-        """Wrap an exactly symmetric matrix the caller owns, such as the
-        entry-by-entry combination of validated symmetric tensors; only
-        finiteness can fail."""
-        if not np.isfinite(matrix).all():
-            raise ValueError("symmetric 2-tensor entries must be finite")
+        """Wrap an exactly symmetric matrix, or a stack of them, that the
+        caller owns, such as the entry-by-entry combination of validated
+        symmetric tensors; only finiteness can fail."""
+        _finite(matrix, "symmetric 2-tensor")
         matrix.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "matrix", matrix)
@@ -167,7 +234,7 @@ class Sym2Tensor(Frozen):
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def zero(cls, dim: int) -> "Sym2Tensor":
@@ -221,31 +288,26 @@ class GlElement(Frozen):
 
     def __init__(self, matrix):
         m = _as_square(matrix, "linear transform")
-        self._certify(m.copy(), np.linalg.svd(m, compute_uv=False))
+        self._set(m.copy(), *_svd_bounds(np.linalg.svd(m, compute_uv=False)))
 
     @classmethod
     def _from_svd(cls, matrix: np.ndarray, svals: np.ndarray) -> "GlElement":
-        """Wrap a finite square matrix the caller owns, given its singular
-        values in descending order, as ``np.linalg.svd`` returns them."""
+        """Wrap a finite square matrix, or a stack of them, that the caller
+        owns, given the singular values of each in descending order, as
+        ``np.linalg.svd`` returns them."""
         out = object.__new__(cls)
-        out._certify(matrix, svals)
+        out._set(matrix, *_svd_bounds(svals))
         return out
 
-    def _certify(self, m: np.ndarray, svals: np.ndarray) -> None:
-        if svals[-1] <= SINGULAR_RTOL * svals[0]:
-            raise SingularTensor(
-                f"transform is singular to working precision "
-                f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
-            )
+    def _set(self, m: np.ndarray, smin, smax) -> None:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        smax = float(svals[0])
-        object.__setattr__(self, "_smin", float(svals[-1]) - _SVD_RTOL * smax)
-        object.__setattr__(self, "_smax", smax + _SVD_RTOL * smax)
+        object.__setattr__(self, "_smin", _float_or_stack(smin))
+        object.__setattr__(self, "_smax", _float_or_stack(smax))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     @cache
@@ -253,34 +315,38 @@ class GlElement(Frozen):
         """The identity of GL(R^dim); one shared read-only instance per dim."""
         return cls(np.eye(dim))
 
-    @cached_property
-    def inverse(self) -> "GlElement":
-        return GlElement(np.linalg.inv(self.matrix))
+    @classmethod
+    def _identities(cls, dim: int, stack: tuple) -> "GlElement":
+        """A stack of identities of GL(R^dim), of stack shape ``stack``."""
+        eye = np.broadcast_to(np.eye(dim), (*stack, dim, dim)).copy()
+        return cls._from_svd(eye, np.ones((*stack, dim)))
 
     @cached_property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
+    def inverse(self) -> "GlElement":
+        """The inverse, certified by its SVD as public construction would."""
+        m = _finite(np.linalg.inv(self.matrix), "linear transform")
+        return GlElement._from_svd(m, np.linalg.svd(m, compute_uv=False))
+
+    @cached_property
+    def det(self):
+        return _float_or_stack(np.linalg.det(self.matrix))
 
     def __matmul__(self, other: "GlElement") -> "GlElement":
         """The product, certified from its factors' singular-value bounds
         where they allow (see the module docstring), else by the SVD."""
         _check_same_dim(self, other)
-        m = self.matrix @ other.matrix
+        m = _finite(self.matrix @ other.matrix, "linear transform")
         n = self.dim
         top = self._smax * other._smax
         slack = (n * n * _EPS / (1.0 - n * _EPS) + 4.0 * _EPS) * top
         lo, hi = self._smin * other._smin - slack, top + slack
-        # At the dimensions the group checks draw, a loop over Python floats
-        # is several times cheaper than a numpy isfinite reduction.
-        if not (
-            lo > _PRODUCT_RTOL * hi and all(map(math.isfinite, m.ravel().tolist()))
-        ):
-            return GlElement(m)
-        m.setflags(write=False)
+        certified = lo > _PRODUCT_RTOL * hi
+        if not np.all(certified):
+            svd_lo, svd_hi = _svd_bounds(np.linalg.svd(m, compute_uv=False))
+            lo = np.where(certified, lo, svd_lo)
+            hi = np.where(certified, hi, svd_hi)
         out = object.__new__(GlElement)
-        object.__setattr__(out, "matrix", m)
-        object.__setattr__(out, "_smin", lo)
-        object.__setattr__(out, "_smax", hi)
+        out._set(m, lo, hi)
         return out
 
 
@@ -305,9 +371,11 @@ def quad_form(k, C: Sym2Tensor) -> float:
 
 
 def act_sym(M: GlElement, C: Sym2Tensor) -> Sym2Tensor:
-    """Conjugation action of GL(V) on symmetric tensors: M C M^T."""
+    """Conjugation action of GL(V) on symmetric tensors: M C M^T, checked
+    and symmetrized as public construction would."""
     _check_same_dim(M, C)
-    return Sym2Tensor(M.matrix @ C.matrix @ M.matrix.T)
+    m = M.matrix @ C.matrix @ np.swapaxes(M.matrix, -1, -2)
+    return Sym2Tensor._exact(_symmetric(_finite(m, "symmetric 2-tensor")))
 
 
 def min_eigenvalue(C: Sym2Tensor) -> float:

@@ -3,11 +3,15 @@ command and the acceptance scorecard (``tests/test_acceptance.py``).
 
 Each check tests one structural identity of the library (group laws, section
 homomorphisms, the Gaussian convolution semigroup, coarse-graining and the
-flow semigroup) as a per-sample function ``(rng, n) -> error``. ``verify``
-runs it at its registered trial count and dimensions from its own generator,
-keyed by the seed and the check's name, so a check's line depends on nothing
-else; the scorecard runs a copy with its own counts
-(``dataclasses.replace``) from its own generator.
+flow semigroup) as a function ``(rng, n, trials) -> errors`` that draws
+``trials`` instances in dimension n and returns one row of errors per
+instance. A group check draws its instances as one stack of elements and
+evaluates its law with one call of each group operation; the other checks
+draw and evaluate one instance at a time. ``verify`` runs a check at its
+registered trial count and dimensions from its own generator, keyed by the
+seed and the check's name, so a check's line depends on nothing else; the
+scorecard runs a copy with its own counts (``dataclasses.replace``) from its
+own generator.
 
 The checks share no state, so a run, of one suite or of all of them, spreads
 its checks over every CPU the process may use. It forks one helper per extra
@@ -47,18 +51,18 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"{self.name:<40s} {status}  "
+            f"{self.name:<{_NAME_WIDTH}s} {status}  "
             f"max_err={self.max_error:.3e}  tol={self.tolerance:.0e}"
         )
 
 
 @dataclass(frozen=True)
 class Check:
-    """One identity. ``sample(rng, n)`` draws one instance in dimension n
-    and returns its error, or a sequence of errors of a fixed length. The
-    check passes when the largest error over ``dims`` x ``trials`` draws is
-    at most ``tolerance``; a check that must detect a violation
-    (``exceeds``) passes above it."""
+    """One identity. ``sample(rng, n, trials)`` draws ``trials`` instances in
+    dimension n and returns their errors, one row per instance, each row an
+    error or a fixed number of them. The check passes when the largest error
+    over ``dims`` x ``trials`` draws is at most ``tolerance``; a check that
+    must detect a violation (``exceeds``) passes above it."""
 
     name: str
     sample: Callable
@@ -71,8 +75,15 @@ class Check:
         """Largest error over the draws, taken dimension by dimension from
         the caller's generator. Unlike the builtin ``max``, this is NaN if
         any error is NaN, so a check that computes nothing cannot pass."""
-        draws = [self.sample(rng, n) for n in self.dims for _ in range(self.trials)]
-        return float(np.max(draws))
+        worst = []
+        for n in self.dims:
+            errors = self.sample(rng, n, self.trials)
+            if len(errors) != self.trials:
+                raise ValueError(
+                    f"{self.name} returned {len(errors)} rows for {self.trials} trials"
+                )
+            worst.append(np.max(errors))
+        return float(np.max(worst))
 
     def run(self, seed: int) -> CheckResult:
         """The check at its registered counts, from a generator keyed by
@@ -95,25 +106,41 @@ def _log_gap(a, b):
     return np.abs(np.expm1(np.subtract(a, b)))
 
 
+def _per_instance(draw):
+    """The ``sample`` of a check that draws and evaluates one instance at a
+    time: ``draw(rng, n)`` returns one instance's error or errors."""
+
+    @functools.wraps(draw)
+    def sample(rng, n, trials):
+        return [draw(rng, n) for _ in range(trials)]
+
+    return sample
+
+
 # ---------------------------------------------------------------------------
 # sample helpers, shared with the test suite
 #
-# A draw is built with the constructor whose guarantees it already meets:
-# ``0.5 * (a + a.T)`` is exactly symmetric and finite, so it skips the public
-# symmetry check, and fresh finite draws of the right length skip the public
-# re-validation of an element's parts. The group suite makes thousands of
-# draws, and validating them cost more than the laws it checks. Public
-# construction of the same draw stores the same bits (tests/test_verify.py).
+# Each helper draws one element, or with ``size`` a stack of ``size``
+# elements. Stacks of elements enter the library only through the private
+# constructors, so a draw is built with the one whose guarantees it already
+# meets: ``0.5 * (a + a.T)`` is exactly symmetric and finite, so it skips the
+# public symmetry check, a transform comes with the SVD that accepted it,
+# and fresh finite draws of the right shape skip the public re-validation of
+# an element's parts. Public construction of each drawn element stores the
+# same bits (tests/test_verify.py).
 # ---------------------------------------------------------------------------
 
-def random_gl(rng, n):
-    """Random transform with |det| > 0.1; |det| is the product of the
-    singular values, which the element keeps as its bounds."""
-    while True:
-        m = rng.normal(size=(n, n))
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals.prod() > 0.1:
-            return tn.GlElement._from_svd(m, svals)
+def random_gl(rng, n, size=None):
+    """Random transform with |det| > 0.1, or a stack of ``size`` of them;
+    |det| is the product of the singular values, which the element keeps as
+    its bounds. Rejected transforms are redrawn, in stack order, until none
+    is left; a single draw takes from ``rng`` what a stack of one does."""
+    m = rng.normal(size=(n, n) if size is None else (size, n, n))
+    svals = np.linalg.svd(m, compute_uv=False)
+    while (rejected := svals.prod(axis=-1) <= 0.1).any():
+        m[rejected] = rng.normal(size=(np.count_nonzero(rejected), n, n))
+        svals[rejected] = np.linalg.svd(m[rejected], compute_uv=False)
+    return tn.GlElement._from_svd(m, svals)
 
 
 def random_gl_pos(rng, n):
@@ -131,14 +158,16 @@ def random_spd(rng, n, scale=1.0):
     return tn.Sym2Tensor(scale * (a @ a.T + 0.5 * np.eye(n)))
 
 
-def random_sym(rng, n):
-    a = rng.normal(size=(n, n))
-    return tn.Sym2Tensor._exact(0.5 * (a + a.T))
+def random_sym(rng, n, size=None):
+    a = rng.normal(size=(n, n) if size is None else (size, n, n))
+    return tn.Sym2Tensor._exact(0.5 * (a + np.swapaxes(a, -1, -2)))
 
 
-def random_osc(rng, n):
+def random_osc(rng, n, size=None):
+    shape = (n,) if size is None else (size, n)
     return og.OscElement._from_parts(
-        random_gl(rng, n), rng.normal(size=n), rng.normal(size=n), rng.normal()
+        random_gl(rng, n, size), rng.normal(size=shape), rng.normal(size=shape),
+        rng.normal(size=size),
     )
 
 
@@ -155,100 +184,111 @@ def _log_gaussian(C):
     ]
 
 
-def element_gap(a: og.OscElement, b: og.OscElement) -> float:
-    """Largest absolute entry gap over the M, k, v and c parts; NaN if any
-    gap is NaN."""
-    return np.abs(np.concatenate((
-        (a.m.matrix - b.m.matrix).ravel(), a.k - b.k, a.v - b.v, [a.c - b.c],
-    ))).max()
+def element_gap(a: og.OscElement, b: og.OscElement):
+    """Largest absolute entry gap over the M, k, v and c parts, one per
+    element of a stack; NaN if any gap is NaN (``np.maximum`` keeps it)."""
+    return functools.reduce(np.maximum, (
+        np.abs(a.m.matrix - b.m.matrix).max(axis=(-2, -1)),
+        np.abs(a.k - b.k).max(axis=-1),
+        np.abs(a.v - b.v).max(axis=-1),
+        np.abs(np.subtract(a.c, b.c)),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # group suite
 # ---------------------------------------------------------------------------
 
-def _associativity(rng, n):
-    g, h, f = (random_osc(rng, n) for _ in range(3))
+def _associativity(rng, n, trials):
+    g, h, f = (random_osc(rng, n, trials) for _ in range(3))
     return element_gap(
         og.osc_mul(og.osc_mul(g, h), f), og.osc_mul(g, og.osc_mul(h, f))
     )
 
 
-def _identity_inverse(rng, n):
-    g, e = random_osc(rng, n), og.OscElement.identity(n)
-    return (
+def _identity_inverse(rng, n, trials):
+    g, e = random_osc(rng, n, trials), og.OscElement.identity(n)
+    return np.stack((
         element_gap(og.osc_mul(g, og.osc_inv(g)), e),
         element_gap(og.osc_mul(g, e), g),
-    )
+    ), axis=-1)
 
 
-def _matrix_representation(rng, n):
-    g, h = random_osc(rng, n), random_osc(rng, n)
+def _matrix_representation(rng, n, trials):
+    g, h = random_osc(rng, n, trials), random_osc(rng, n, trials)
     gh = og.to_matrix(og.osc_mul(g, h))
-    return np.abs(gh - og.to_matrix(g) @ og.to_matrix(h)).max()
+    return np.abs(gh - og.to_matrix(g) @ og.to_matrix(h)).max(axis=(-2, -1))
 
 
-def _heisenberg_embedding(rng, n):
-    heis = functools.partial(og.OscElement._from_parts, tn.GlElement.identity(n))
-    j, u, a = rng.normal(size=n), rng.normal(size=n), rng.normal()
-    k, v, b = rng.normal(size=n), rng.normal(size=n), rng.normal()
+def _heisenberg_embedding(rng, n, trials):
+    eye = tn.GlElement._identities(n, (trials,))
+    heis = functools.partial(og.OscElement._from_parts, eye)
+    j, u, a = (rng.normal(size=s) for s in ((trials, n), (trials, n), trials))
+    k, v, b = (rng.normal(size=s) for s in ((trials, n), (trials, n), trials))
     lhs = og.osc_mul(heis(j, u, a), heis(k, v, b))
-    return element_gap(lhs, heis(j + k, u + v, a + b + float(j @ v)))
+    # The Heisenberg law, written out: the reference the product must meet.
+    return element_gap(lhs, heis(j + k, u + v, a + b + (j * v).sum(axis=-1)))
 
 
-def _section_sum(rng, n):
-    A, B = random_sym(rng, n), random_sym(rng, n)
-    k = rng.normal(size=n)
+def _section_sum(rng, n, trials):
+    A, B = random_sym(rng, n, trials), random_sym(rng, n, trials)
+    k = rng.normal(size=(trials, n))
     # An(A)(k) and An(B)(k) share their M and k parts; the fibrewise sum
     # adds the v and c parts.
     a, b = og.an_apply(A, k), og.an_apply(B, k)
     summed = og.an_apply(A + B, k)
     # The section is also a homomorphism in k for a fixed tensor.
-    k2 = rng.normal(size=n)
+    k2 = rng.normal(size=(trials, n))
     split = og.osc_mul(a, og.an_apply(A, k2))
-    return (
-        np.abs(summed.v - (a.v + b.v)).max(),
-        abs(summed.c - (a.c + b.c)),
+    return np.stack((
+        np.abs(summed.v - (a.v + b.v)).max(axis=-1),
+        np.abs(summed.c - (a.c + b.c)),
         element_gap(og.an_apply(A, k + k2), split),
-    )
+    ), axis=-1)
 
 
-def _commutativity(rng, n):
-    C = random_sym(rng, n)
-    k1, k2 = rng.normal(size=n), rng.normal(size=n)
+def _commutativity(rng, n, trials):
+    C = random_sym(rng, n, trials)
+    k1, k2 = rng.normal(size=(trials, n)), rng.normal(size=(trials, n))
     g1, g2 = og.an_apply(C, k1), og.an_apply(C, k2)
     return element_gap(og.osc_mul(g1, g2), og.osc_mul(g2, g1))
 
 
-def _section_conjugation(rng, n):
+def _section_conjugation(rng, n, trials):
     # (M,0,0,0) * An(C)(kM) * (M,0,0,0)^-1 through the group law.
-    C, M = random_sym(rng, n), random_gl(rng, n)
-    k = rng.normal(size=n)
-    mg = og.OscElement._from_parts(M, np.zeros(n), np.zeros(n), 0.0)
-    lhs = og.osc_mul(og.osc_mul(mg, og.an_apply(C, M.matrix.T @ k)), og.osc_inv(mg))
+    C, M = random_sym(rng, n, trials), random_gl(rng, n, trials)
+    k = rng.normal(size=(trials, n))
+    mg = og.OscElement._from_parts(
+        M, np.zeros((trials, n)), np.zeros((trials, n)), np.zeros(trials)
+    )
+    km = (k[:, None, :] @ M.matrix)[:, 0, :]
+    lhs = og.osc_mul(og.osc_mul(mg, og.an_apply(C, km)), og.osc_inv(mg))
     return element_gap(lhs, og.an_apply(tn.act_sym(M, C), k))
 
 
-def _action_composition(rng, n):
-    C, M1, M2 = random_sym(rng, n), random_gl(rng, n), random_gl(rng, n)
+def _action_composition(rng, n, trials):
+    C = random_sym(rng, n, trials)
+    M1, M2 = random_gl(rng, n, trials), random_gl(rng, n, trials)
     lhs = tn.act_sym(M1, tn.act_sym(M2, C))
-    return np.abs(lhs.matrix - tn.act_sym(M1 @ M2, C).matrix).max()
+    return np.abs(lhs.matrix - tn.act_sym(M1 @ M2, C).matrix).max(axis=(-2, -1))
 
 
-def _scale_lift(rng, n):
-    C, M1, M2 = random_sym(rng, n), random_gl(rng, n), random_gl(rng, n)
+def _scale_lift(rng, n, trials):
+    C = random_sym(rng, n, trials)
+    M1, M2 = random_gl(rng, n, trials), random_gl(rng, n, trials)
     lhs = og.sd_mul(og.ur(C, M1), og.ur(C, M2))
     rhs = og.ur(C, M1 @ M2)
-    return (
-        np.abs(lhs.m.matrix - rhs.m.matrix).max(),
-        np.abs(lhs.p.matrix - rhs.p.matrix).max(),
-    )
+    return np.stack((
+        np.abs(lhs.m.matrix - rhs.m.matrix).max(axis=(-2, -1)),
+        np.abs(lhs.p.matrix - rhs.p.matrix).max(axis=(-2, -1)),
+    ), axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # gaussian suite
 # ---------------------------------------------------------------------------
 
+@_per_instance
 def _fixed_point(rng, n):
     C = random_spd(rng, n)
     g = gs.GaussianMeasure(C)
@@ -256,6 +296,7 @@ def _fixed_point(rng, n):
     return abs(gs.shifted_log_eval(g, C, k, x) - g.log_eval(x))
 
 
+@_per_instance
 def _wrong_covariance(rng, n):
     C = random_spd(rng, n)
     g = gs.GaussianMeasure(C)
@@ -263,6 +304,7 @@ def _wrong_covariance(rng, n):
     return abs(gs.shifted_log_eval(g, 2.0 * C, k, x) - g.log_eval(x))
 
 
+@_per_instance
 def _gaussian_convolution(rng, n):
     # The convolution theorem N(B) * N(A) = N(A + B), in the log domain.
     A, B = tn.Sym2Tensor([[1.0]]), tn.Sym2Tensor([[2.0]])
@@ -271,6 +313,7 @@ def _gaussian_convolution(rng, n):
     return _log_gap(got.values(X), gs.GaussianMeasure(A + B).log_density(X))
 
 
+@_per_instance
 def _gl_action(rng, n):
     C, M = random_spd(rng, n), random_gl_pos(rng, n)
     g = gs.GaussianMeasure(C)
@@ -282,6 +325,7 @@ def _gl_action(rng, n):
     )
 
 
+@_per_instance
 def _normalization(rng, n):
     # N(C) integrates to 1, i.e. wtilde(2C, log N(C) - log N(2C))(0) = 0,
     # where log N(C) - log N(2C) = -x C^-1 x / 4 + (n / 2) log 2. The weight
@@ -318,6 +362,7 @@ def _quadratic(a, b, c=0.0):
     return fn.FieldFunction.polynomial([((2,), a), ((1,), b), ((0,), c)], 1)
 
 
+@_per_instance
 def _conv_commutativity(rng, n):
     P1, P2, I = _covariance(0.8), _covariance(0.5), _quadratic(*_QUADRATIC)
     x = rng.uniform(-1.5, 1.5)
@@ -326,6 +371,7 @@ def _conv_commutativity(rng, n):
     return _log_gap(one([x]), other([x]))
 
 
+@_per_instance
 def _linear_source_action(rng, n):
     # wtilde(P, k x + I o M)(x) = k x + k P k / 2 + wtilde(M P M, I)(M (x + P k))
     (a, b), m, k, p, x = _QUADRATIC, 1.5, 0.4, 0.8, rng.uniform(-1.0, 1.0)
@@ -335,6 +381,7 @@ def _linear_source_action(rng, n):
     return _log_gap(lhs, k * x + 0.5 * k * p * k + inner)
 
 
+@_per_instance
 def _translation_action(rng, n):
     # wtilde(P, I(. + v) + c)(x) = c + wtilde(P, I)(x + v)
     (a, b), v, c, x = _QUADRATIC, 0.3, 0.2, rng.uniform(-1.0, 1.0)
@@ -344,6 +391,7 @@ def _translation_action(rng, n):
     return _log_gap(lhs, c + fn.wtilde(P, _quadratic(a, b), order=40)([x + v]))
 
 
+@_per_instance
 def _convolve_constant(rng, n):
     # N(P) * 1 = 1, i.e. wtilde(P, 0) = 0.
     out = fn.wtilde(_covariance(1.3), fn.FieldFunction.zero(1), order=40)
@@ -362,6 +410,7 @@ def _family():
     return rn.PropagatorFamily.with_default_dilation(tn.Sym2Tensor([[1.0]]))
 
 
+@_per_instance
 def _coarse_grain_composition(rng, n):
     quartic, P1, P2 = _quartic(), tn.Sym2Tensor([[0.5]]), tn.Sym2Tensor([[0.5]])
     direct = rn.wtilde(P1 + P2, quartic)
@@ -370,6 +419,7 @@ def _coarse_grain_composition(rng, n):
     return _rel(direct.values(X), nested.values(X))
 
 
+@_per_instance
 def _rescaling(rng, n):
     quartic, M, P = _quartic(), tn.GlElement([[2.0]]), tn.Sym2Tensor([[4.0]])
     Pr, Ir = rn.rescale(M, P, quartic)
@@ -382,6 +432,7 @@ def _rescaling(rng, n):
     return _rel(*np.array(pairs).T)
 
 
+@_per_instance
 def _semigroup(rng, n):
     fam, X, root2 = _family(), np.linspace(-1.2, 1.2, 10)[:, None], math.sqrt(2.0)
     errs = []
@@ -391,6 +442,7 @@ def _semigroup(rng, n):
     return np.concatenate(errs)
 
 
+@_per_instance
 def _quadratic_flow(rng, n):
     a0, p, h, fam = 0.6, 1.0, 0.5, _family()
     quad = fn.FieldFunction.polynomial([((2,), -0.5 * a0)], 1)
@@ -404,6 +456,7 @@ def _quadratic_flow(rng, n):
     return errs
 
 
+@_per_instance
 def _monotonicity_gate(rng, n):
     lifts = [rn.step_lift(_family(), c) for c in (1.2, 2.0, 4.0)]
     return [np.maximum(0.0, -tn.min_eigenvalue(lift.p)) for lift in lifts]
@@ -450,6 +503,9 @@ CHECKS = {
 }
 
 SUITES = (*CHECKS, "all")
+
+#: Width of the name column of ``CheckResult.line``: the longest name.
+_NAME_WIDTH = max(len(c.name) for suite in CHECKS.values() for c in suite)
 
 
 def find_check(name: str) -> Check:

@@ -392,7 +392,7 @@ class TestQuadratureRule:
         # at 2C are each checked and factored once.
         _hermite(20)
         calls = count_linalg(monkeypatch)
-        find_check("gaussian-normalization").sample(rng, 2)
+        find_check("gaussian-normalization").sample(rng, 2, 1)
         assert calls == {"eigvalsh": 2, "cholesky": 2}
 
     def test_unsupported_dimension(self):

@@ -173,7 +173,9 @@ def test_nan_error_fails_the_check(monkeypatch, capsys):
         oscgroup, "to_matrix", lambda g: to_matrix(g) * (np.nan if g.dim == 1 else 1.0)
     )
     assert main(["verify", "--suite", "group"]) == 1
-    line = "matrix-representation                    FAIL  max_err=nan"
+    # The name column is as wide as the longest name,
+    # gaussian-fixed-point-rejects-wrong-covariance (45 characters).
+    line = "matrix-representation                         FAIL  max_err=nan"
     assert line in capsys.readouterr().out
 
 
@@ -229,15 +231,23 @@ def test_verify_output_independent_of_warm_caches():
     assert outputs[0] == outputs[1] == fresh.stdout
 
 
-def _bits(g):
-    """An element's parts as bytes and exact hex, so -0.0 differs from 0.0."""
-    return g.m.matrix.tobytes(), g.k.tobytes(), g.v.tobytes(), type(g.c), g.c.hex()
+def _bits(g, i=None):
+    """An element's parts, or those of element ``i`` of a stack, as bytes
+    and exact hex, so -0.0 differs from 0.0; a single element's c must be a
+    Python float."""
+    if i is None:
+        return g.m.matrix.tobytes(), g.k.tobytes(), g.v.tobytes(), type(g.c), g.c.hex()
+    return (
+        g.m.matrix[i].tobytes(), g.k[i].tobytes(), g.v[i].tobytes(), float,
+        float(g.c[i]).hex(),
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_trusted_draws_match_public_construction(n):
     # The sample helpers skip the public validation; the public constructors
-    # must store the same bits from the same draws.
+    # must store the same bits from the same draws, for a single draw and
+    # for each element of a stacked one.
     for seed in range(20):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         a = ref.normal(size=(n, n))
@@ -248,24 +258,57 @@ def test_trusted_draws_match_public_construction(n):
             random_gl(ref, n), ref.normal(size=n), ref.normal(size=n), ref.normal()
         )
         assert _bits(g) == _bits(public)
+        syms, g = random_sym(rng, n, 5), random_osc(rng, n, 5)
+        a, m = ref.normal(size=(5, n, n)), random_gl(ref, n, 5).matrix
+        k, v, c = ref.normal(size=(5, n)), ref.normal(size=(5, n)), ref.normal(size=5)
+        for i in range(5):
+            public = tensors.Sym2Tensor(0.5 * (a[i] + a[i].T))
+            assert syms.matrix[i].tobytes() == public.matrix.tobytes()
+            public = oscgroup.OscElement(tensors.GlElement(m[i]), k[i], v[i], c[i])
+            assert _bits(g, i) == _bits(public)
 
 
 @pytest.mark.parametrize("name", ["heisenberg-embedding", "section-conjugation"])
 def test_elements_built_from_parts_match_public_construction(monkeypatch, name):
     # Every element these checks build with _from_parts, from parts they drew
-    # or computed, equals the public construction from the same parts.
+    # or computed, equals, element by element of its stack, the public
+    # construction from the same parts.
     from_parts, pairs = oscgroup.OscElement._from_parts.__func__, []
 
     def spy(cls, m, k, v, c):
-        public = oscgroup.OscElement(m, k, v, c)
-        pairs.append((from_parts(cls, m, k, v, c), public))
-        return pairs[-1][0]
+        trusted = from_parts(cls, m, k, v, c)
+        for i in range(len(c)):
+            m_i = tensors.GlElement(m.matrix[i])
+            public = oscgroup.OscElement(m_i, k[i], v[i], c[i])
+            pairs.append((_bits(trusted, i), _bits(public)))
+        return trusted
 
     monkeypatch.setattr(oscgroup.OscElement, "_from_parts", classmethod(spy))
     sample = find_check(name).sample
     for seed in range(20):
         for n in (1, 2, 3):
-            sample(np.random.default_rng(seed), n)
+            sample(np.random.default_rng(seed), n, 3)
     assert pairs
     for trusted, public in pairs:
-        assert _bits(trusted) == _bits(public)
+        assert trusted == public
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_gl_takes_from_the_generator_what_a_rejection_loop_takes(n):
+    # A single draw, and a stack of one, redraw a rejected transform as a
+    # loop of single draws does, and leave the generator where it does;
+    # a stack keeps only transforms with |det| > 0.1.
+    redrawn = 0
+    for seed in range(40):
+        rng, one, ref = (np.random.default_rng(seed) for _ in range(3))
+        while True:
+            m = ref.normal(size=(n, n))
+            if np.linalg.svd(m, compute_uv=False).prod() > 0.1:
+                break
+            redrawn += 1
+        assert random_gl(rng, n).matrix.tobytes() == m.tobytes()
+        assert random_gl(one, n, 1).matrix.tobytes() == m[None].tobytes()
+        assert rng.normal() == one.normal() == ref.normal()
+    assert redrawn
+    stack = random_gl(np.random.default_rng(0), n, 200)
+    assert (np.abs(np.linalg.det(stack.matrix)) > 0.1).all()
