@@ -8,6 +8,15 @@ the one place a covariance is checked and factored.  Expectations under
 N(C) are taken with a tensor-product Gauss-Hermite ``QuadratureRule``
 built on its measure's Cholesky factor; this module builds measures and
 rules, and ``functions`` takes every sum over a rule's nodes.
+
+Stacks.  A measure on a stacked ``Sym2Tensor`` (see ``tensors``) is a stack
+of measures, with one Cholesky factor and log-normalizer per element.
+``log_eval``, ``act_fun_gaussian`` and ``shifted_log_eval`` take one point,
+transform or source per element, raise for the first element that fails
+what a single element raises, and give each element of a stacked result
+the single-element result bit for bit.  Stacked covariances are built only
+by the private constructors of ``tensors``, so stacks enter only through
+them; ``log_density`` and ``QuadratureRule`` take a single measure.
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ from .tensors import (
     Frozen,
     GlElement,
     Sym2Tensor,
+    _dot,
+    _finite,
+    _first,
+    _float_or_stack,
+    _matvec,
     act_sym,
     as_block,
     as_vector,
@@ -47,42 +61,67 @@ def default_order(dim: int) -> int:
 
 
 class GaussianMeasure(Frozen):
-    """Mean-zero Gaussian N[C] with positive-definite covariance.
+    """Mean-zero Gaussian N[C] with positive-definite covariance, or a stack
+    of them from a stacked covariance.
 
-    Construction checks C once, raising NotPositiveDefinite, and computes
-    its Cholesky factor and the log-normalizer; evaluation is pure and
+    Construction checks C once, raising NotPositiveDefinite for the first
+    element that fails, and computes its Cholesky factor and the
+    log-normalizer, one per element of a stack; evaluation is pure and
     thread-safe.
     """
 
     covariance: Sym2Tensor
 
     def __init__(self, covariance: Sym2Tensor):
-        if not is_positive_definite(covariance):
+        if not np.all(is_positive_definite(covariance)):
             raise NotPositiveDefinite("Gaussian covariance must be positive definite")
         chol = np.linalg.cholesky(covariance.matrix)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, 0, -2, -1)), axis=-1)
         log_norm = -0.5 * (covariance.dim * math.log(2.0 * math.pi) + log_det)
         object.__setattr__(self, "covariance", covariance)
         object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_norm", log_norm)
+        object.__setattr__(self, "_log_norm", _float_or_stack(log_norm))
 
     @property
     def dim(self) -> int:
         return self.covariance.dim
 
-    def log_density(self, points) -> np.ndarray:
-        """log N[C] at each row of an (m, n) block of points."""
-        X = as_block(points, self.dim)
+    def _log_at(self, X: np.ndarray) -> np.ndarray:
+        """log N[C] at the points X, shape (..., n): a block of points for a
+        single measure, one point per element for a stack."""
         # x C^{-1} x = |L^{-1} x|^2, with L^{-1} x by forward substitution:
-        # each row is solved on its own, whatever block it came in.
+        # each point is solved on its own, whatever block it came in.
         L = self._chol
         z = np.empty_like(X)
         for j in range(self.dim):
-            z[:, j] = (X[:, j] - np.sum(z[:, :j] * L[j, :j], axis=1)) / L[j, j]
-        return self._log_norm - 0.5 * np.sum(z * z, axis=1)
+            z[..., j] = (
+                X[..., j] - np.sum(z[..., :j] * L[..., j, :j], axis=-1)
+            ) / L[..., j, j]
+        return self._log_norm - 0.5 * np.sum(z * z, axis=-1)
 
-    def log_eval(self, x) -> float:
-        return float(self.log_density(as_vector(x, self.dim)[None, :])[0])
+    def log_density(self, points) -> np.ndarray:
+        """log N[C] of a single measure at each row of an (m, n) block of
+        points."""
+        return self._log_at(as_block(points, self.dim))
+
+    def log_eval(self, x):
+        """log N[C] at x; a stack takes one point per element, shape
+        (..., n), and returns one value per element."""
+        X = _points(x, self._chol.shape[:-2], self.dim)
+        return _float_or_stack(self._log_at(X))
+
+
+def _points(x, stack: tuple, dim: int) -> np.ndarray:
+    """One finite vector of length ``dim``, or one per element of a stack of
+    shape ``stack``; a bad entry fails as ``as_vector`` fails."""
+    if not stack:
+        return as_vector(x, dim)
+    v = _finite(np.asarray(x, dtype=float), "vector")
+    if v.shape != (*stack, dim):
+        raise DimensionMismatch(
+            f"expected points of shape {(*stack, dim)}, got {v.shape}"
+        )
+    return v
 
 
 def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
@@ -172,22 +211,26 @@ class QuadratureRule(Frozen):
 
 
 def act_fun_gaussian(M: GlElement, g: GaussianMeasure) -> GaussianMeasure:
-    """det(M) N(C) o M = N(M^{-1} C M^{-T}); restricted to det(M) > 0."""
+    """det(M) N(C) o M = N(M^{-1} C M^{-T}); restricted to det(M) > 0, which
+    a stack checks per element, raising for the first that fails."""
     if M.dim != g.dim:
         raise DimensionMismatch(f"dimension mismatch: {M.dim} vs {g.dim}")
-    if M.det <= 0.0:
-        raise NonPositiveDeterminant(f"det(M) = {M.det:.6g} must be positive")
+    failed = np.less_equal(M.det, 0.0)
+    if failed.any():
+        (det,) = _first(failed, M.det)
+        raise NonPositiveDeterminant(f"det(M) = {det:.6g} must be positive")
     return GaussianMeasure(act_sym(M.inverse, g.covariance))
 
 
-def shifted_log_eval(g: GaussianMeasure, C: Sym2Tensor, k, x) -> float:
+def shifted_log_eval(g: GaussianMeasure, C: Sym2Tensor, k, x):
     """log of exp(k(x) + kCk/2) g(x + Ck): the annihilation-orbit value.
 
     This is the closed form of the group action of the annihilation section
     of C on g; it equals log g(x) for every k exactly when C is the
-    covariance of g.
+    covariance of g. A stack of measures and tensors takes one k and one x
+    per element, shape (..., n), and returns one value per element.
     """
-    kv = as_vector(k, g.dim)
-    xv = as_vector(x, g.dim)
-    ck = C.matrix @ kv
-    return float(kv @ xv) + 0.5 * float(kv @ ck) + g.log_eval(xv + ck)
+    stack = g._chol.shape[:-2]
+    kv, xv = _points(k, stack, g.dim), _points(x, stack, g.dim)
+    ck = _matvec(C.matrix, kv)
+    return _float_or_stack(_dot(kv, xv) + 0.5 * _dot(kv, ck) + g.log_eval(xv + ck))

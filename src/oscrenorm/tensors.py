@@ -268,6 +268,14 @@ class Sym2Tensor(Frozen):
         return bool(np.all(np.abs(self.matrix) <= atol))
 
     @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of each matrix in ascending order, read-only:
+        one ``eigvalsh`` per tensor serves every test of its spectrum."""
+        eig = np.linalg.eigvalsh(self.matrix)
+        eig.setflags(write=False)
+        return eig
+
+    @cached_property
     def _rules(self) -> dict:
         """``functions.wtilde``'s memo: the node columns and log weights of
         this covariance's quadrature rule, keyed by its order.  It lives
@@ -378,18 +386,18 @@ def act_sym(M: GlElement, C: Sym2Tensor) -> Sym2Tensor:
     return Sym2Tensor._exact(_symmetric(_finite(m, "symmetric 2-tensor")))
 
 
-def min_eigenvalue(C: Sym2Tensor) -> float:
-    return float(np.linalg.eigvalsh(C.matrix)[0])
+def min_eigenvalue(C: Sym2Tensor):
+    """The smallest eigenvalue, one per element of a stack."""
+    return _float_or_stack(C._eigenvalues[..., 0])
 
 
-def is_positive_definite(C: Sym2Tensor) -> bool:
-    """True iff the smallest eigenvalue clears ``PD_RTOL`` times the norm.
+def is_positive_definite(C: Sym2Tensor):
+    """True iff the smallest eigenvalue clears ``PD_RTOL`` times the norm;
+    one bool per element of a stack.
 
     The spectral norm of a symmetric tensor is its largest absolute
-    eigenvalue, so one ``eigvalsh`` gives both sides.
+    eigenvalue, so one ``eigvalsh`` gives both sides; a zero tensor fails.
     """
-    eig = np.linalg.eigvalsh(C.matrix)
-    scale = max(-eig[0], eig[-1])
-    if scale == 0.0:
-        return False
-    return bool(eig[0] > PD_RTOL * scale)
+    eig = C._eigenvalues
+    pd = eig[..., 0] > PD_RTOL * np.maximum(-eig[..., 0], eig[..., -1])
+    return bool(pd) if pd.ndim == 0 else pd

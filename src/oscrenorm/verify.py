@@ -5,9 +5,12 @@ Each check tests one structural identity of the library (group laws, section
 homomorphisms, the Gaussian convolution semigroup, coarse-graining and the
 flow semigroup) as a function ``(rng, n, trials) -> errors`` that draws
 ``trials`` instances in dimension n and returns one row of errors per
-instance. A group check draws its instances as one stack of elements and
-evaluates its law with one call of each group operation; the other checks
-draw and evaluate one instance at a time. ``verify`` runs a check at its
+instance. A check with more than one trial draws its instances as one
+stack and evaluates its law with one call of each operation: the group
+checks on stacks of group elements, the gaussian checks on stacks of
+covariances, measures and transforms, and the convolution checks on one
+block of points per ``wtilde``. The single-trial checks draw one instance
+through ``_per_instance``. ``verify`` runs a check at its
 registered trial count and dimensions from its own generator, keyed by the
 seed and the check's name, so a check's line depends on nothing else; the
 scorecard runs a copy with its own counts (``dataclasses.replace``) from its
@@ -107,8 +110,8 @@ def _log_gap(a, b):
 
 
 def _per_instance(draw):
-    """The ``sample`` of a check that draws and evaluates one instance at a
-    time: ``draw(rng, n)`` returns one instance's error or errors."""
+    """The ``sample`` of a single-trial check, which draws and evaluates
+    one instance: ``draw(rng, n)`` returns its error or errors."""
 
     @functools.wraps(draw)
     def sample(rng, n, trials):
@@ -126,7 +129,8 @@ def _per_instance(draw):
 # meets: ``0.5 * (a + a.T)`` is exactly symmetric and finite, so it skips the
 # public symmetry check, a transform comes with the SVD that accepted it,
 # and fresh finite draws of the right shape skip the public re-validation of
-# an element's parts. Public construction of each drawn element stores the
+# an element's parts. ``a a^T + I / 2`` takes the public symmetry check,
+# which symmetrizes it. Public construction of each drawn element stores the
 # same bits (tests/test_verify.py).
 # ---------------------------------------------------------------------------
 
@@ -143,19 +147,26 @@ def random_gl(rng, n, size=None):
     return tn.GlElement._from_svd(m, svals)
 
 
-def random_gl_pos(rng, n):
-    """Random transform with positive determinant."""
-    m = random_gl(rng, n)
-    if m.det < 0:
-        flip = np.eye(n)
-        flip[0, 0] = -1.0
-        m = tn.GlElement(m.matrix @ flip)
-    return m
+def random_gl_pos(rng, n, size=None):
+    """Random transform with positive determinant, or a stack of ``size`` of
+    them: a drawn transform with det < 0 has its first column negated and
+    takes the bounds of a fresh SVD, as public construction would give it."""
+    m = random_gl(rng, n, size)
+    flipped = np.less(m.det, 0.0)
+    if not flipped.any():
+        return m
+    flip = np.eye(n)
+    flip[0, 0] = -1.0
+    matrix = np.where(flipped[..., None, None], m.matrix @ flip, m.matrix)
+    return tn.GlElement._from_svd(matrix, np.linalg.svd(matrix, compute_uv=False))
 
 
-def random_spd(rng, n, scale=1.0):
-    a = rng.normal(size=(n, n))
-    return tn.Sym2Tensor(scale * (a @ a.T + 0.5 * np.eye(n)))
+def random_spd(rng, n, scale=1.0, size=None):
+    """Random positive-definite tensor, scale (a a^T + I / 2), or a stack of
+    ``size`` of them, symmetrized as public construction would."""
+    a = rng.normal(size=(n, n) if size is None else (size, n, n))
+    m = scale * (a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(n))
+    return tn.Sym2Tensor._exact(tn._symmetric(m))
 
 
 def random_sym(rng, n, size=None):
@@ -288,20 +299,18 @@ def _scale_lift(rng, n, trials):
 # gaussian suite
 # ---------------------------------------------------------------------------
 
-@_per_instance
-def _fixed_point(rng, n):
-    C = random_spd(rng, n)
+def _fixed_point(rng, n, trials):
+    C = random_spd(rng, n, size=trials)
     g = gs.GaussianMeasure(C)
-    k, x = rng.uniform(-1, 1, size=n), rng.uniform(-2, 2, size=n)
-    return abs(gs.shifted_log_eval(g, C, k, x) - g.log_eval(x))
+    k, x = rng.uniform(-1, 1, size=(trials, n)), rng.uniform(-2, 2, size=(trials, n))
+    return np.abs(gs.shifted_log_eval(g, C, k, x) - g.log_eval(x))
 
 
-@_per_instance
-def _wrong_covariance(rng, n):
-    C = random_spd(rng, n)
+def _wrong_covariance(rng, n, trials):
+    C = random_spd(rng, n, size=trials)
     g = gs.GaussianMeasure(C)
-    k, x = rng.uniform(0.5, 1.0, size=n), rng.uniform(-1, 1, size=n)
-    return abs(gs.shifted_log_eval(g, 2.0 * C, k, x) - g.log_eval(x))
+    k, x = rng.uniform(0.5, 1.0, size=(trials, n)), rng.uniform(-1, 1, size=(trials, n))
+    return np.abs(gs.shifted_log_eval(g, 2.0 * C, k, x) - g.log_eval(x))
 
 
 @_per_instance
@@ -313,16 +322,20 @@ def _gaussian_convolution(rng, n):
     return _log_gap(got.values(X), gs.GaussianMeasure(A + B).log_density(X))
 
 
-@_per_instance
-def _gl_action(rng, n):
-    C, M = random_spd(rng, n), random_gl_pos(rng, n)
+def _gl_action(rng, n, trials):
+    C, M = random_spd(rng, n, size=trials), random_gl_pos(rng, n, trials)
     g = gs.GaussianMeasure(C)
     acted = gs.act_fun_gaussian(M, g)
-    x = rng.uniform(-1, 1, size=n)
-    return (
-        np.max(np.abs(acted.covariance.matrix - tn.act_sym(M.inverse, C).matrix)),
-        abs(M.det * math.exp(g.log_eval(M.matrix @ x)) - math.exp(acted.log_eval(x))),
-    )
+    x = rng.uniform(-1, 1, size=(trials, n))
+    # M acting back on the acted covariance must give C again.
+    back = tn.act_sym(M, acted.covariance).matrix
+    return np.stack((
+        np.abs(back - C.matrix).max(axis=(-2, -1)),
+        np.abs(
+            M.det * np.exp(g.log_eval(tn._matvec(M.matrix, x)))
+            - np.exp(acted.log_eval(x))
+        ),
+    ), axis=-1)
 
 
 @_per_instance
@@ -362,33 +375,32 @@ def _quadratic(a, b, c=0.0):
     return fn.FieldFunction.polynomial([((2,), a), ((1,), b), ((0,), c)], 1)
 
 
-@_per_instance
-def _conv_commutativity(rng, n):
+def _conv_commutativity(rng, n, trials):
     P1, P2, I = _covariance(0.8), _covariance(0.5), _quadratic(*_QUADRATIC)
-    x = rng.uniform(-1.5, 1.5)
+    X = rng.uniform(-1.5, 1.5, size=(trials, 1))
     one = fn.wtilde(P1, fn.wtilde(P2, I, order=40), order=40)
     other = fn.wtilde(P2, fn.wtilde(P1, I, order=40), order=40)
-    return _log_gap(one([x]), other([x]))
+    return _log_gap(one.values(X), other.values(X))
 
 
-@_per_instance
-def _linear_source_action(rng, n):
+def _linear_source_action(rng, n, trials):
     # wtilde(P, k x + I o M)(x) = k x + k P k / 2 + wtilde(M P M, I)(M (x + P k))
-    (a, b), m, k, p, x = _QUADRATIC, 1.5, 0.4, 0.8, rng.uniform(-1.0, 1.0)
+    (a, b), m, k, p = _QUADRATIC, 1.5, 0.4, 0.8
+    X = rng.uniform(-1.0, 1.0, size=(trials, 1))
     P, MPM = _covariance(p), _covariance(m * p * m)
-    lhs = fn.wtilde(P, _quadratic(a * m * m, b * m + k), order=40)([x])
-    inner = fn.wtilde(MPM, _quadratic(a, b), order=48)([m * (x + p * k)])
-    return _log_gap(lhs, k * x + 0.5 * k * p * k + inner)
+    lhs = fn.wtilde(P, _quadratic(a * m * m, b * m + k), order=40).values(X)
+    inner = fn.wtilde(MPM, _quadratic(a, b), order=48).values(m * (X + p * k))
+    return _log_gap(lhs, k * X[:, 0] + 0.5 * k * p * k + inner)
 
 
-@_per_instance
-def _translation_action(rng, n):
+def _translation_action(rng, n, trials):
     # wtilde(P, I(. + v) + c)(x) = c + wtilde(P, I)(x + v)
-    (a, b), v, c, x = _QUADRATIC, 0.3, 0.2, rng.uniform(-1.0, 1.0)
+    (a, b), v, c = _QUADRATIC, 0.3, 0.2
+    X = rng.uniform(-1.0, 1.0, size=(trials, 1))
     P = _covariance(0.8)
     shifted = _quadratic(a, 2.0 * a * v + b, a * v * v + b * v + c)
-    lhs = fn.wtilde(P, shifted, order=40)([x])
-    return _log_gap(lhs, c + fn.wtilde(P, _quadratic(a, b), order=40)([x + v]))
+    lhs = fn.wtilde(P, shifted, order=40).values(X)
+    return _log_gap(lhs, c + fn.wtilde(P, _quadratic(a, b), order=40).values(X + v))
 
 
 @_per_instance

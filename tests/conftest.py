@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,3 +46,25 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(base_config(**overrides)))
     return str(path)
+
+
+def perfbench_config(workload, seed):
+    """The benchmark's config dict for one workload and seed, from
+    perfbench/workloads.py."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_config(workload, seed)
+
+
+def count_linalg(monkeypatch) -> dict:
+    """Calls of np.linalg.eigvalsh and np.linalg.cholesky from now on."""
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -22,7 +22,8 @@ from oscrenorm import (
 )
 from oscrenorm.cli import MAX_ORDER, load_config, main
 from oscrenorm.errors import ConfigError
-from conftest import base_config, write_config
+from oscrenorm.gaussian import _hermite
+from conftest import base_config, count_linalg, perfbench_config, write_config
 
 
 def config_4d():
@@ -622,6 +623,20 @@ class TestBatchedFlow:
         b = fresh_step(2.0, fresh_step(2.0, I)).values(points)
         expected = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
         assert json.loads(out.read_text())["semigroup_check"]["max_rel_error"] == expected
+
+    def test_each_covariance_is_eigendecomposed_once(self, tmp_path, monkeypatch):
+        # The benchmark's flow-1d config: the base and the step covariances
+        # at c = 1, 2 and 4 take one eigvalsh each, which the family's, the
+        # lift's and the config's tests and each step rule's measure share
+        # (eight calls when each test took its own); the rules at c = 2
+        # and 4 take one Cholesky factor each.
+        path = tmp_path / "flow-1d.json"
+        path.write_text(json.dumps(perfbench_config("flow-1d", 0)))
+        _hermite(40)  # the 1-D rule takes an eigvalsh of its own, once
+        calls = count_linalg(monkeypatch)
+        config = load_config(str(path))
+        assert cli.cmd_flow(config, 0, str(tmp_path / "out.json")) == 0
+        assert calls == {"eigvalsh": 4, "cholesky": 2}
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         cfg = write_config(

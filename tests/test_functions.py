@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from oscrenorm import (
 from oscrenorm.functions import Polynomial, _directions
 from oscrenorm.gaussian import _hermite
 from oscrenorm.verify import _log_gaussian, find_check
-from conftest import random_gl_pos, random_spd
+from conftest import count_linalg, perfbench_config, random_gl_pos, random_spd
 
 
 def quartic_1d(a4=1.0, a2=0.0):
@@ -296,11 +294,7 @@ class TestIntegrabilityFlag:
     @pytest.mark.parametrize("workload", ["flow-1d", "flow-2d-nested", "wtilde-4d"])
     @pytest.mark.parametrize("seed", [0, 7, 9001])
     def test_benchmark_interactions_ok(self, workload, seed):
-        path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        config = workloads.make_config(workload, seed)
+        config = perfbench_config(workload, seed)
         terms = [(t["exponents"], t["coeff"]) for t in config["interaction"]["terms"]]
         assert FieldFunction.polynomial(terms, config["dimension"]).integrable
 
@@ -329,18 +323,6 @@ class TestIntegrabilityFlag:
         # numpy overflow warning into an error.
         terms = [((738, 0), -0.1), ((0, 738), -0.1), ((369, 369), 0.05)]
         assert FieldFunction.polynomial(terms, dim=2).integrable
-
-
-def count_linalg(monkeypatch) -> dict:
-    """Calls of np.linalg.eigvalsh and np.linalg.cholesky from now on."""
-    calls = {"eigvalsh": 0, "cholesky": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 class TestQuadratureRule:

@@ -1,7 +1,7 @@
-"""Stacks of group elements: each element of a stacked result equals the
-single-element result bit for bit, a stack checks each element as a single
-element is checked and raises what it raises, and only the private
-constructors let a stack in."""
+"""Stacks of group elements and of Gaussian measures: each element of a
+stacked result equals the single-element result bit for bit, a stack checks
+each element as a single element is checked and raises what it raises, and
+only the private constructors let a stack in."""
 
 import warnings
 
@@ -10,11 +10,14 @@ import pytest
 
 from oscrenorm import (
     DimensionMismatch,
+    GaussianMeasure,
     GlElement,
     OscElement,
+    OscRenormError,
     SingularTensor,
     Sym2Tensor,
     UrElement,
+    act_fun_gaussian,
     act_sym,
     an_apply,
     osc_inv,
@@ -25,8 +28,9 @@ from oscrenorm import (
     ur,
 )
 from oscrenorm import tensors as tn
+from oscrenorm.gaussian import shifted_log_eval
 from oscrenorm.verify import find_check
-from conftest import random_gl, random_osc, random_sym
+from conftest import random_gl, random_gl_pos, random_osc, random_spd, random_sym
 
 TRIALS = 5
 
@@ -41,6 +45,9 @@ def bits(x, i=None):
         fields = (x.matrix, x._smin, x._smax)
     elif isinstance(x, Sym2Tensor):
         fields = (x.matrix,)
+    elif isinstance(x, GaussianMeasure):
+        fields = (x._chol, x._log_norm)
+        return (*bits(x.covariance, i), *_fields(fields, i))
     elif isinstance(x, OscElement):
         vectors = (x.k, x.v) if i is None else (x.k[i], x.v[i])
         return (*bits(x.m, i), *(f.tobytes() for f in vectors), *_scalars(x.c, i))
@@ -48,6 +55,10 @@ def bits(x, i=None):
         return (*bits(x.m, i), *bits(x.p, i))
     else:
         fields = (x,)
+    return _fields(fields, i)
+
+
+def _fields(fields, i):
     if i is None:
         assert all(type(f) is float for f in fields[1:])
         return tuple(np.asarray(f).tobytes() for f in fields)
@@ -112,6 +123,39 @@ def test_each_stacked_operation_matches_single_elements(n, name):
         assert bits(stacked, i) == bits(OPERATIONS[name](*(single(a, i) for a in args)))
 
 
+#: Each stacked Gaussian operation, on drawn stacks (C, M, k, x) of
+#: positive-definite covariances, transforms with det > 0, sources and
+#: points, or on the single elements of one row of them.
+GAUSSIAN_OPERATIONS = {
+    "measure": lambda C, M, k, x: GaussianMeasure(C),
+    "log-eval": lambda C, M, k, x: GaussianMeasure(C).log_eval(x),
+    "act-fun-gaussian": lambda C, M, k, x: act_fun_gaussian(M, GaussianMeasure(C)),
+    "acted-log-eval": lambda C, M, k, x: act_fun_gaussian(
+        M, GaussianMeasure(C)
+    ).log_eval(x),
+    "shifted-log-eval": lambda C, M, k, x: shifted_log_eval(
+        GaussianMeasure(C), 2.0 * C, k, x
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", GAUSSIAN_OPERATIONS)
+def test_each_stacked_gaussian_operation_matches_single_elements(n, name):
+    rng = np.random.default_rng(n)
+    args = (
+        random_spd(rng, n, size=TRIALS), random_gl_pos(rng, n, TRIALS),
+        rng.normal(size=(TRIALS, n)), rng.normal(size=(TRIALS, n)),
+    )
+    operation = GAUSSIAN_OPERATIONS[name]
+    stacked = operation(*args)
+    for i in range(TRIALS):
+        one = operation(*(single(a, i) for a in args))
+        if not isinstance(one, GaussianMeasure):
+            assert type(one) is float
+        assert bits(stacked, i) == bits(one)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_drawn_transforms_keep_the_bounds_of_public_construction(n):
     M = random_gl(np.random.default_rng(n), n, TRIALS)
@@ -139,7 +183,7 @@ def _raised(build):
     """The type and message of the error ``build()`` raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises((ValueError, SingularTensor, DimensionMismatch)) as info:
+        with pytest.raises((ValueError, OscRenormError)) as info:
             build()
     return type(info.value), str(info.value)
 
@@ -218,6 +262,45 @@ class TestStackedChecks:
         assert _raised(lambda: osc_mul(h, h)) == _raised(
             lambda: osc_mul(single(h, -1), single(h, -1))
         )
+
+
+class TestStackedGaussianChecks:
+    """The first failing element of a stack raises what it raises alone."""
+
+    def test_first_covariance_that_is_not_positive_definite(self):
+        m = np.tile(np.eye(2), (TRIALS, 1, 1))
+        m[2] = [[2.0, 3.0], [3.0, 2.0]]
+        m[4] = [[1.0, 0.0], [0.0, 0.0]]
+        C = Sym2Tensor._exact(m)
+        assert list(tn.is_positive_definite(C)) == [True, True, False, True, False]
+        assert _raised(lambda: GaussianMeasure(C)) == _raised(
+            lambda: GaussianMeasure(Sym2Tensor(m[2]))
+        )
+
+    def test_first_transform_with_non_positive_determinant(self):
+        m = EYES.copy()
+        m[1] = np.diag([-2.0, 1.0])
+        m[3] = np.diag([-3.0, 1.0])
+        M = GlElement._from_svd(m, np.linalg.svd(m, compute_uv=False))
+        g = GaussianMeasure(Sym2Tensor._exact(EYES.copy()))
+        error = _raised(lambda: act_fun_gaussian(M, g))
+        assert error == _raised(
+            lambda: act_fun_gaussian(GlElement(m[1]), GaussianMeasure(Sym2Tensor(m[0])))
+        )
+        assert error[1] == "det(M) = -2 must be positive"
+
+    def test_points(self):
+        # A stack takes one finite point per element.
+        g = GaussianMeasure(Sym2Tensor._exact(EYES.copy()))
+        x = np.zeros((TRIALS, 2))
+        x[-1, 0] = np.nan
+        assert _raised(lambda: g.log_eval(x)) == _raised(
+            lambda: GaussianMeasure(Sym2Tensor.identity(2)).log_eval(x[-1])
+        )
+        with pytest.raises(DimensionMismatch, match="points of shape"):
+            g.log_eval(np.zeros(2))
+        with pytest.raises(DimensionMismatch, match="points of shape"):
+            shifted_log_eval(g, g.covariance, np.zeros((TRIALS, 2)), np.zeros((1, 2)))
 
 
 class TestPublicConstructorsTakeOneElement:

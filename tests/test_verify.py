@@ -26,11 +26,13 @@ from oscrenorm.verify import (
     element_gap,
     find_check,
     random_gl,
+    random_gl_pos,
     random_osc,
     random_spd,
     random_sym,
     run_suite,
 )
+from conftest import count_linalg
 
 
 @functools.cache
@@ -243,11 +245,29 @@ def _bits(g, i=None):
     )
 
 
+def _public_gl_pos(m):
+    """The transform m, or m with its first column negated when det m < 0,
+    by public construction."""
+    g = tensors.GlElement(m)
+    if g.det >= 0:
+        return g
+    flip = np.eye(len(m))
+    flip[0, 0] = -1.0
+    return tensors.GlElement(m @ flip)
+
+
+def _gl_bits(M, i=None):
+    if i is None:
+        return M.matrix.tobytes(), M._smin.hex(), M._smax.hex()
+    return M.matrix[i].tobytes(), float(M._smin[i]).hex(), float(M._smax[i]).hex()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_trusted_draws_match_public_construction(n):
     # The sample helpers skip the public validation; the public constructors
     # must store the same bits from the same draws, for a single draw and
     # for each element of a stacked one.
+    flipped = 0
     for seed in range(20):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         a = ref.normal(size=(n, n))
@@ -258,14 +278,27 @@ def test_trusted_draws_match_public_construction(n):
             random_gl(ref, n), ref.normal(size=n), ref.normal(size=n), ref.normal()
         )
         assert _bits(g) == _bits(public)
+        a = ref.normal(size=(n, n))
+        public = tensors.Sym2Tensor(0.5 * (a @ a.T + 0.5 * np.eye(n)))
+        assert random_spd(rng, n, 0.5).matrix.tobytes() == public.matrix.tobytes()
+        public = _public_gl_pos(random_gl(ref, n).matrix)
+        assert _gl_bits(random_gl_pos(rng, n)) == _gl_bits(public)
         syms, g = random_sym(rng, n, 5), random_osc(rng, n, 5)
+        spds, pos = random_spd(rng, n, 0.5, 5), random_gl_pos(rng, n, 5)
         a, m = ref.normal(size=(5, n, n)), random_gl(ref, n, 5).matrix
         k, v, c = ref.normal(size=(5, n)), ref.normal(size=(5, n)), ref.normal(size=5)
+        b, drawn = ref.normal(size=(5, n, n)), random_gl(ref, n, 5).matrix
         for i in range(5):
             public = tensors.Sym2Tensor(0.5 * (a[i] + a[i].T))
             assert syms.matrix[i].tobytes() == public.matrix.tobytes()
             public = oscgroup.OscElement(tensors.GlElement(m[i]), k[i], v[i], c[i])
             assert _bits(g, i) == _bits(public)
+            public = tensors.Sym2Tensor(0.5 * (b[i] @ b[i].T + 0.5 * np.eye(n)))
+            assert spds.matrix[i].tobytes() == public.matrix.tobytes()
+            public = _public_gl_pos(drawn[i])
+            assert _gl_bits(pos, i) == _gl_bits(public)
+            flipped += public.matrix[0, 0] != drawn[i][0, 0]
+    assert flipped
 
 
 @pytest.mark.parametrize("name", ["heisenberg-embedding", "section-conjugation"])
@@ -312,3 +345,28 @@ def test_random_gl_takes_from_the_generator_what_a_rejection_loop_takes(n):
     assert redrawn
     stack = random_gl(np.random.default_rng(0), n, 200)
     assert (np.abs(np.linalg.det(stack.matrix)) > 0.1).all()
+
+
+def test_gaussian_fixed_point_factors_once_per_dimension(monkeypatch):
+    # Each dimension's 50 covariances are one stack: one eigvalsh and one
+    # Cholesky factorization per dimension, not one per trial.
+    check = find_check("gaussian-fixed-point")
+    calls = count_linalg(monkeypatch)
+    assert check.run(0).passed
+    assert (check.trials, check.dims) == (50, (1, 2, 3))
+    assert calls == {"eigvalsh": 3, "cholesky": 3}
+
+
+def test_gl_action_detects_the_transposed_action(monkeypatch):
+    # act_fun_gaussian built on M^T C M instead of M C M^T: the acted
+    # covariance no longer returns to C under M, in dimension 2.
+    def transposed(M, C):
+        m = np.swapaxes(M.matrix, -1, -2) @ C.matrix @ M.matrix
+        return tensors.Sym2Tensor._exact(tensors._symmetric(m))
+
+    monkeypatch.setattr(gaussian, "act_sym", transposed)
+    check = find_check("gaussian-gl-action")
+    errors = check.sample(np.random.default_rng(0), 2, check.trials)
+    assert errors.shape == (check.trials, 2)
+    assert np.max(errors[:, 0]) > check.tolerance
+    assert not check.run(0).passed
