@@ -7,9 +7,8 @@ flag, ``integrable``: exp of the function decays against a Gaussian, which
 ``wtilde`` asks of an interaction.  Functions are evaluated pointwise, and
 ``wtilde`` integrates exp of an interaction against a Gaussian with
 tensor-product Gauss-Hermite quadrature.  That is the one weighted sum
-over a rule's nodes, and it stays in the log domain: ``_shifted_terms``
-shifts each row by its peak, and ``wtilde`` takes the log of the shifted
-sum.
+over a rule's nodes, and it stays in the log domain: ``_log_sums`` shifts
+each row by its peak and takes the log of the shifted sum.
 
 ``Polynomial`` alone reads an exponent table.  It takes powers by
 multiplication, never by numpy's ``pow``, whose path for negative bases is
@@ -28,11 +27,15 @@ nested pair, but only n <= 4 coordinates and a few polynomial terms, so
 every array operation here runs along the long point axis, one coordinate
 column or one term row at a time.  Short sums over coordinates or terms
 are taken in order from 0.0, as numpy's own sum takes them up to 7 terms,
-so a value's bits do not depend on the layout.
+so a value's bits do not depend on the layout.  One sum is the exception:
+on its expansion path ``wtilde`` sums a polynomial interaction's monomials
+by a BLAS product, one matrix-vector product per point, whose bits depend
+on neither the block nor the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -51,6 +54,25 @@ from .tensors import MAX_DIM, Frozen, GlElement, Sym2Tensor, as_block, as_vector
 #: at: a chunk holds max(1, _CHUNK_ROWS // q^n) points, so at most
 #: max(_CHUNK_ROWS, q^n) rows; bounds the memory of its temporaries.
 _CHUNK_ROWS = 4096
+
+# The expansion path of ``wtilde``; see its docstring.
+#: Rows one expansion chunk aims at: max(1, _EXPAND_ROWS // q^n) points.  Its
+#: one block of that size, the exponents, takes 512 KiB.
+_EXPAND_ROWS = 2**16
+#: Largest degree expanded: the expansion cancels like ((|x| + |y|) /
+#: |x - y|)^d, so past it the bound admits few points.
+_EXPAND_MAX_DEGREE = 8
+#: Largest W, in entries (4 MiB).  A rule that would need a larger one takes
+#: the row path and keeps its peak memory: for a 4-D quartic with 21
+#: monomials, every order past 12, up to the largest rule of 2^20 nodes.
+_EXPAND_MAX_ENTRIES = 2**19
+#: A point keeps its expansion value when its bound B(x) is at most this
+#: times 1 + |value|.  2^-36 = 1.5e-11 is 10 times the largest B(x) / (1 +
+#: |value|) on the benchmark's configs, and over 600 times below the
+#: tightest tolerance any check puts on a convolution (1e-8).
+_EXPAND_RTOL = 2.0**-36
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _dot(X: np.ndarray, w) -> np.ndarray:
@@ -111,9 +133,34 @@ class Polynomial(Frozen):
         """For each coordinate, for each power d = 1, 2, ... up to its highest
         exponent, the indices of the terms whose exponent there is d."""
         return tuple(
-            tuple(np.flatnonzero(e == d).tolist() for d in range(1, e.max(initial=0) + 1))
-            for e in self.exponents.T
+            tuple([t for t, v in enumerate(e) if v == d] for d in range(1, max(e, default=0) + 1))
+            for e in self.exponents.T.tolist()
         )
+
+    @cached_property
+    def _translation(self) -> tuple:
+        """The expansion p(x - y) = sum_g x^g W_g(y) as (monomials, plan).
+        ``monomials`` is the Polynomial of unit coefficients on the
+        exponents g below some term's, sorted.  ``plan`` holds, for each term
+        e and each g below it in term order, (index of g, b, factors, first)
+        with b = c_e C(e, g) (-1)^|e - g|, ``factors`` the coordinate of each
+        factor of y^(e - g) and ``first`` whether it is the first entry for
+        g: W_g(y) sums b y^(e - g) over the entries for g.  The sign of
+        (-y)^(e - g) rides on the exact integer factor of b."""
+        exponents = self.exponents.tolist()
+        below = [list(itertools.product(*[range(v + 1) for v in e])) for e in exponents]
+        monomials = sorted(set().union(*below))
+        index = {g: i for i, g in enumerate(monomials)}
+        plan, seen = [], set()
+        for e, c, gs in zip(exponents, self.coeffs.tolist(), below):
+            for g in gs:
+                delta = [v - a for v, a in zip(e, g)]
+                b = c * (-1) ** sum(delta) * math.prod(map(math.comb, e, g))
+                factors = [i for i, d in enumerate(delta) for _ in range(d)]
+                plan.append((index[g], b, factors, index[g] not in seen))
+                seen.add(index[g])
+        unit = Polynomial(np.reshape(monomials, (-1, len(exponents[0]))), np.ones(len(monomials)))
+        return unit, tuple(plan)
 
     def _table(self, X: np.ndarray) -> np.ndarray:
         """(k, m) term-major monomial values at the rows of X: each term's row
@@ -245,18 +292,21 @@ def compose(f: FieldFunction, M: GlElement) -> FieldFunction:
     )
 
 
-def _shifted_terms(log_weights, log_values) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of an (m, q) block of log-integrand values, one row per point,
-    the shift and the terms exp(e - shift), e = log_weights + log_values.
+def _log_sums(e: np.ndarray) -> np.ndarray:
+    """Per row of an (m, q) block e of log-integrand values plus log weights,
+    one row per point, the log of its sum, shift + log(sum(exp(e - shift))).
 
     The shift is the row's peak, or 0 for an all-zero row (peak -inf), whose
-    terms then stay 0.  A row with a NaN or +inf term gets NaN terms, which
-    ``wtilde`` rejects."""
-    e = log_weights + log_values
+    terms then stay 0 and whose log is -inf.  A row with a NaN or +inf term
+    gets NaN terms, which ``wtilde`` rejects.  The terms are taken in place:
+    e must be a block that the caller owns."""
     peak = e.max(axis=1)
     shift = np.where(np.isneginf(peak), 0.0, peak)
     with np.errstate(invalid="ignore"):
-        return shift, np.exp(e - shift[:, None])
+        e -= shift[:, None]
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.sum(e, axis=1))
 
 
 def _rule_columns(P: Sym2Tensor, order: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -274,26 +324,96 @@ def _rule_columns(P: Sym2Tensor, order: int | None) -> tuple[np.ndarray, np.ndar
     return P._rules[order]
 
 
+def _expansion(poly: Polynomial, cols: np.ndarray):
+    """The expansion of I(x - y) in x at the node columns ``cols``, or None
+    where ``wtilde`` takes the row path for every point.
+
+    I(x - y) = sum_g x^g W_g(y), with g over the exponents below some term's
+    and W_g(y) = sum_t c_t prod_i C(e_ti, g_i) (-y_i)^(e_ti - g_i), from the
+    plan of ``Polynomial._translation``.  Returns (monomials, W, size):
+    ``monomials`` the Polynomial of unit coefficients on the g, whose
+    ``design_matrix`` gives a chunk's x^g; W the read-only C-ordered
+    (|g|, q^n) matrix of the W_g at the nodes, each sum taken in term order,
+    its powers by multiplication; and ``size`` the (|g|,) vector with
+    sum_g |x^g| size[g] = B(x), the bound of ``wtilde``."""
+    degree = int(poly.exponents.sum(axis=1).max(initial=0))
+    if not len(poly.coeffs) or degree > _EXPAND_MAX_DEGREE:
+        return None
+    monomials, plan = poly._translation
+    count, nodes = len(monomials.coeffs), cols.shape[1]
+    if count * nodes > _EXPAND_MAX_ENTRIES:
+        return None
+    # Each entry goes straight into its row of W, or into one scratch row
+    # when the row already holds a sum.  sum_g |x^g| size[g] = |I|(|x| + r)
+    # by the binomial theorem, r the largest |node| per coordinate.
+    W, scratch, ys = np.empty((count, nodes)), np.empty(nodes), list(cols)
+    radius = np.maximum(cols.max(axis=1), -cols.min(axis=1)).tolist()
+    size = [0.0] * count
+    for r, b, factors, first in plan:
+        out = W[r] if first else scratch
+        if factors:
+            np.multiply(ys[factors[0]], b, out=out)
+            for i in factors[1:]:
+                out *= ys[i]
+        else:
+            out.fill(b)
+        if not first:
+            W[r] += scratch
+        size[r] += abs(b) * math.prod([radius[i] for i in factors])
+    W.setflags(write=False)
+    kappa = count + 2 * degree + len(poly.coeffs)
+    return monomials, W, np.multiply(size, kappa * _UNIT_ROUNDOFF / (1.0 - kappa * _UNIT_ROUNDOFF))
+
+
 def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFunction:
     """Interaction part of the generating function, log(N(P) * exp o I).
 
     A zero covariance acts as the delta for convolution, so wtilde(0, I)
     returns I unchanged.  Otherwise a point's value is the log of the
     expectation of exp(I(x - y)) over y ~ N(0, P), via Hermite nodes
-    transformed by the Cholesky factor of P, taken in the log domain as
-    shift + log(sum(exp(log_w + I(x - y) - shift))) with the terms of
-    ``_shifted_terms``; a P that is not positive definite fails
-    its ``GaussianMeasure`` with NotPositiveDefinite.  A point whose value
-    is not finite (every term 0, or a term inf or NaN) raises
-    NonPositiveConvolution.
-    A block of points is taken in chunks of max(1, ``_CHUNK_ROWS`` // q^n)
-    points, i.e. at most max(``_CHUNK_ROWS``, q^n) (point, node) rows.  A
-    chunk's shifted block is built column by column from the (n, q^n) node
-    columns, point-major as in the rule's reduction order, and passed on
-    Fortran-ordered.  The columns and log weights come from one rule per
-    covariance object, which every call on that P at the same order reuses:
-    a flow's steps at one factor share their lift's covariance, so they
-    share its rule.
+    transformed by the Cholesky factor of P, taken in the log domain by
+    ``_log_sums``; a P that is not positive definite fails its
+    ``GaussianMeasure`` with NotPositiveDefinite.  A point whose value is
+    not finite (every term 0, or a term inf or NaN) raises
+    NonPositiveConvolution.  The columns and log weights come from one rule
+    per covariance object, which every call on that P at the same order
+    reuses: a flow's steps at one factor share their lift's covariance, so
+    they share its rule.
+
+    The exponents I(x - y) are taken on one of two paths, chosen here.
+
+    Row path: ``I.evaluator`` on every (point, node) row.  A block of points
+    is taken in chunks of max(1, ``_CHUNK_ROWS`` // q^n) points, i.e. at
+    most max(``_CHUNK_ROWS``, q^n) rows.  A chunk's shifted block is built
+    column by column from the (n, q^n) node columns, point-major as in the
+    rule's reduction order, and passed on Fortran-ordered.
+
+    Expansion path, for a ``Polynomial`` I of k >= 1 terms and degree
+    d <= ``_EXPAND_MAX_DEGREE``, when W has at most ``_EXPAND_MAX_ENTRIES``
+    entries: ``_expansion`` writes I(x - y) = sum_g x^g W_g(y), over the
+    exponents g below some term's, with W the (|g|, q^n) matrix of the W_g
+    at the nodes, built once here.
+    A chunk of max(1, ``_EXPAND_ROWS`` // q^n) points takes its (m, |g|)
+    monomial table, one BLAS product of each point's row with W, and the
+    same log sums.  Each point is its own (1, |g|) @ (|g|, q^n) product
+    (gemv): a product of several rows (gemm) can round a row otherwise by
+    the number of rows beside it and by the BLAS thread count, and then a
+    value would depend on its block.
+
+    Rounding bound of the expansion path.  Let u = 2^-53, kappa = |g| + 2 d
+    + k and gamma = kappa u / (1 - kappa u).  Each exponent is within
+    gamma |I|(|x| + |y|) of I(x - y), where |I| has the coefficients |c_t|
+    and |.| is taken per coordinate: W is within gamma_(d+k), x^g within
+    gamma_d and their product within gamma_|g| of exact, relative to the
+    sums of absolute values, whose total is |I|(|x| + |y|) by the binomial
+    theorem.  A log sum moves by at most its largest exponent error, so a
+    point's value is within B(x) = gamma |I|(|x| + r) of the log sum of the
+    exact exponents, r the largest |node| per coordinate, besides the
+    rounding of the log sum itself, which both paths share.  A point keeps
+    its expansion value when that value is finite and B(x) <=
+    ``_EXPAND_RTOL`` (1 + |value|); any other point is taken again on the
+    row path, so a point's path depends only on the point, the interaction
+    and the rule.
     """
     if P.dim != I.dim:
         raise DimensionMismatch(f"dimension mismatch: {P.dim} vs {I.dim}")
@@ -302,18 +422,15 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
     if not I.integrable:
         raise NotIntegrable("interaction is not exp-integrable")
     cols, log_weights = _rule_columns(P, order)
-    per_chunk = max(1, _CHUNK_ROWS // cols.shape[1])
+    nodes = cols.shape[1]
 
-    def evaluator(X):
+    def rows(X):
         out = np.empty(len(X))
+        per_chunk = max(1, _CHUNK_ROWS // nodes)
         for lo in range(0, len(X), per_chunk):
             x = X[lo:lo + per_chunk]
             shifted = (x.T[:, :, None] - cols[:, None, :]).reshape(P.dim, -1).T
-            log_values = I.evaluator(shifted).reshape(len(x), -1)
-            shift, terms = _shifted_terms(log_weights, log_values)
-            # An all-zero row takes log 0 = -inf, and fails the guard below.
-            with np.errstate(divide="ignore"):
-                value = shift + np.log(np.sum(terms, axis=1))
+            value = _log_sums(log_weights + I.evaluator(shifted).reshape(len(x), -1))
             bad = np.flatnonzero(~np.isfinite(value))
             if bad.size:
                 raise NonPositiveConvolution(
@@ -323,4 +440,30 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
             out[lo:lo + per_chunk] = value
         return out
 
-    return FieldFunction(evaluator, P.dim, integrable=True)
+    expansion = None if I.poly is None else _expansion(I.poly, cols)
+    if expansion is None:
+        return FieldFunction(rows, P.dim, integrable=True)
+    monomials, W, size = expansion
+
+    def expanded(X):
+        out = np.empty(len(X))
+        per_chunk = max(1, _EXPAND_ROWS // nodes)
+        for lo in range(0, len(X), per_chunk):
+            x = X[lo:lo + per_chunk]
+            table = monomials.design_matrix(x)
+            # Rows that overflow are taken again on the row path, which
+            # warns as it always has.
+            with np.errstate(over="ignore", invalid="ignore"):
+                # One (1, |g|) @ (|g|, q^n) product per point, as a stack.
+                e = (table[:, None, :] @ W).reshape(len(x), nodes)
+                e += log_weights
+                value = _log_sums(e)
+                bound = np.sum(np.abs(table) * size, axis=1)
+                keep = bound <= _EXPAND_RTOL * (1.0 + np.abs(value))
+            redo = ~(keep & np.isfinite(value))
+            if redo.any():
+                value[redo] = rows(x[redo])
+            out[lo:lo + per_chunk] = value
+        return out
+
+    return FieldFunction(expanded, P.dim, integrable=True)

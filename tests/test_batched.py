@@ -32,7 +32,8 @@ ORDERS = {1: 12, 2: 6, 3: 4, 4: 3}
 
 CASES = (
     "polynomial", "nine_term_polynomial", "compose", "wtilde", "wtilde_of_compose",
-    "compose_of_wtilde", "nested_renorm_step",
+    "compose_of_wtilde", "nested_renorm_step", "wtilde_in_chunks_of_five",
+    "wtilde_past_the_degree_limit",
 )
 
 
@@ -58,6 +59,29 @@ def nine_term_interaction(n):
     return FieldFunction.polynomial(terms, n)
 
 
+def degree_ten_interaction(n):
+    """``interaction(n)`` plus -1e-3 x_i^10 on each axis: past the degree up
+    to which ``wtilde`` expands a polynomial, so it takes the row path."""
+    terms = list(interaction(n).poly.terms)
+    terms += [(tuple(10 * (i == j) for j in range(n)), -1e-3) for i in range(n)]
+    return FieldFunction.polynomial(terms, n)
+
+
+def in_chunks_of(points, f, nodes):
+    """f with expansion chunks of ``points`` points, so that a block of six
+    leaves a one-point chunk."""
+
+    def evaluator(X):
+        saved = functions._EXPAND_ROWS
+        functions._EXPAND_ROWS = points * nodes
+        try:
+            return f.evaluator(X)
+        finally:
+            functions._EXPAND_ROWS = saved
+
+    return FieldFunction(evaluator, f.dim, integrable=True)
+
+
 def cases(n):
     rng = np.random.default_rng(100 + n)
     I = interaction(n)
@@ -78,6 +102,8 @@ def cases(n):
     P, M = random_spd(rng, n, 0.3), random_gl_pos(rng, n)
     fs["wtilde_of_compose"] = wtilde(P, compose(I, M), order=q)
     fs["compose_of_wtilde"] = compose(wtilde(P, I, order=q), M)
+    fs["wtilde_in_chunks_of_five"] = in_chunks_of(5, wtilde(P, I, order=q), q**n)
+    fs["wtilde_past_the_degree_limit"] = wtilde(P, degree_ten_interaction(n), order=q)
     return fs
 
 
@@ -189,6 +215,16 @@ def test_nonfinite_log_sum_names_its_point(value):
     out = wtilde(Sym2Tensor([[1.0]]), hot_beyond(-100.0, value), order=10)
     with pytest.raises(NonPositiveConvolution, match=r"at \[-3\.5\]"):
         out.values([[-200.0], [-150.0], [-3.5], [4.0]])
+
+
+def test_nonfinite_row_on_the_expansion_path_names_its_point():
+    # x^4 overflows at 3e77; the row path, which takes such a point again,
+    # warns of the overflow as it always has.
+    out = wtilde(Sym2Tensor([[1.0]]), interaction(1), order=10)
+    X = [[0.5], [-0.25], [3e77], [4e77], [0.1]]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonPositiveConvolution, match=r"at \[3\.e\+77\]"):
+            out.values(X)
 
 
 @pytest.mark.parametrize(

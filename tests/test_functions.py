@@ -585,3 +585,100 @@ class TestGaussConvolveExp:
         hot = wtilde(P, FieldFunction.constant(800.0, 1), order=10)([0.0])
         cold = wtilde(P, FieldFunction.zero(1), order=10)([0.0])
         assert hot - cold == pytest.approx(800.0, rel=0.0, abs=1e-12)
+
+
+class TestExpansionPath:
+    """``wtilde`` of a ``Polynomial`` against the same polynomial as a black
+    box, ``FieldFunction(poly, n, integrable=True)``, which takes the row
+    path: the two agree to the rounding bound of the ``wtilde`` docstring,
+    and a point or interaction that the bound does not admit gets the row
+    path's bits."""
+
+    U = 2.0**-53
+
+    @staticmethod
+    def black_box(I):
+        return FieldFunction(I.poly, I.dim, integrable=True)
+
+    @staticmethod
+    def quartic(n, rng):
+        """A negative-definite quartic with a cross, a linear and a constant
+        term."""
+        terms = [
+            (tuple(4 * (i == j) for j in range(n)), -rng.uniform(0.05, 0.2))
+            for i in range(n)
+        ]
+        if n > 1:
+            terms.append(((2,) + (0,) * (n - 2) + (2,), -0.05))
+        terms += [((1,) + (0,) * (n - 1), 0.3), ((0,) * n, 0.7)]
+        return FieldFunction.polynomial(terms, n)
+
+    def tolerance(self, P, I, X, value):
+        """The expansion path's bound B(x) and the tolerance on its gap to
+        the row path: both paths' exponent bounds, the rounding of
+        log w + I in each, and a few ulps of each log sum."""
+        poly = I.poly
+        exponents, k = poly.exponents, len(poly.coeffs)
+        d = int(exponents.sum(axis=1).max())
+        monomials = {g for e in exponents.tolist()
+                     for g in itertools.product(*(range(v + 1) for v in e))}
+        rule = QuadratureRule.for_covariance(P)
+        r = np.abs(rule.nodes).max(axis=0)
+        size = Polynomial(exponents, np.abs(poly.coeffs))(np.abs(X) + r)
+        kappa = len(monomials) + 2 * d + k
+        gamma = kappa * self.U / (1 - kappa * self.U)
+        row_gamma = (2 * d + k) * self.U / (1 - (2 * d + k) * self.U)
+        log_w = np.abs(np.log(rule.weights)).max()
+        sums = 2 * (math.log2(len(rule.weights)) + 8) * self.U * (1 + np.abs(value))
+        bound = gamma * size
+        return bound, bound + (row_gamma + 2 * self.U) * size + 2 * self.U * log_w + sums
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gap_to_the_row_path_meets_the_bound(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            I, P = self.quartic(n, rng), random_spd(rng, n, rng.uniform(0.2, 2.0))
+            radii = np.repeat([0.1, 1.0, 5.0, 30.0], 3)[:, None]
+            X = rng.uniform(-1.0, 1.0, size=(len(radii), n)) * radii
+            expanded = wtilde(P, I).values(X)
+            rows = wtilde(P, self.black_box(I)).values(X)
+            bound, tol = self.tolerance(P, I, X, rows)
+            assert np.all(np.abs(expanded - rows) <= tol)
+            # A value off the row path's bits kept its expansion value, which
+            # the bound admits.
+            kept = expanded != rows
+            assert kept.any()
+            assert np.all(bound[kept] <= 2.0**-36 * (1 + np.abs(expanded[kept])))
+
+    @pytest.mark.parametrize(
+        "terms, dim, order",
+        [
+            ([((40,), -1.0), ((4,), -0.1)], 1, None),
+            ([((10, 0), -1e-3), ((0, 10), -1e-3), ((1, 1), 0.2)], 2, None),
+            # W would have 21 x 13^4 entries, past the 2^19 limit.
+            ([((4, 0, 0, 0), -0.1), ((0, 4, 0, 0), -0.1), ((0, 0, 4, 0), -0.1),
+              ((0, 0, 0, 4), -0.1), ((2, 2, 0, 0), -0.05)], 4, 13),
+        ],
+    )
+    def test_interaction_past_the_limits_takes_the_row_path(self, terms, dim, order):
+        I = FieldFunction.polynomial(terms, dim)
+        P = random_spd(np.random.default_rng(dim), dim, 0.3)
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, dim))
+        got = wtilde(P, I, order=order).values(X)
+        want = wtilde(P, self.black_box(I), order=order).values(X)
+        assert got.tobytes() == want.tobytes()
+
+    def test_point_past_the_bound_takes_the_row_path(self):
+        # -(x - 10)^4, expanded: near x = 10 its terms cancel to 1e-9 of the
+        # value, far from it they do not.
+        terms = [((4,), -1.0), ((3,), 40.0), ((2,), -600.0), ((1,), 4000.0), ((0,), -1e4)]
+        P, I = Sym2Tensor([[0.5]]), FieldFunction.polynomial(terms, 1)
+        X = np.array([[10.0], [0.0], [-10.0], [9.0]])
+        expanded = wtilde(P, I).values(X)
+        rows = wtilde(P, self.black_box(I)).values(X)
+        bound, _ = self.tolerance(P, I, X, rows)
+        past = bound > 2.0**-36 * (1 + np.abs(rows))
+        assert past.tolist() == [True, False, False, True]
+        assert expanded[past].tobytes() == rows[past].tobytes()
+        # Each point's path is its own: the block gives the single-point bits.
+        assert expanded.tolist() == [wtilde(P, I)(x) for x in X]
