@@ -7,7 +7,9 @@ log domain (log-normalizer plus quadratic form).  ``GaussianMeasure`` is
 the one place a covariance is checked and factored.  Expectations under
 N(C) are taken with a tensor-product Gauss-Hermite ``QuadratureRule``
 built on its measure's Cholesky factor; this module builds measures and
-rules, and ``functions`` takes every sum over a rule's nodes.
+rules, and ``functions`` takes every sum over a rule's nodes.  The 1-D
+rules of the default orders are constants, the bits of the port of numpy's
+``hermgauss`` that builds every other order.
 
 Stacks.  A measure on a stacked ``Sym2Tensor`` (see ``tensors``) is a stack
 of measures, with one Cholesky factor and log-normalizer per element.
@@ -138,11 +140,10 @@ def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
     return c0 + c1 * x * math.sqrt(2.0)
 
 
-@functools.cache
-def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
+def _hermite_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only 1-D Gauss-Hermite nodes and weights of order q, the weights
-    normalized to sum to 1; built once per order.  An unsupported order
-    raises, so it is never cached, and at most orders 1-370 are kept.
+    normalized to sum to 1, computed afresh; an order whose weights are not
+    all finite and positive (from q = 371) raises.
 
     The steps are those of numpy's ``hermgauss``, whose bits they return,
     so numpy.polynomial is never imported.  The nodes are the eigenvalues
@@ -167,6 +168,89 @@ def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
             f"Gauss-Hermite weights at order {q} are not all finite and positive"
         )
     w = w / math.sqrt(math.pi)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+#: The positive halves of the 1-D rules of the default orders, as
+#: ``_hermite_rule`` computes them: nodes ascending, then their weights,
+#: written so that each literal reads back to the same float.
+_HERMITE_HALVES = {
+    40: (
+        (
+            0.17453721459758237, 0.5238747138322772, 0.874006612357088,
+            1.225480109046289, 1.5788698949316138, 1.9347914722822959,
+            2.2939171418750837, 2.6569959984428957, 3.0248798839012845,
+            3.398558265859628, 3.7792067534352234, 4.1682570668325,
+            4.567502072844395, 4.9792609785452555, 5.406654247970128,
+            5.8540950560304, 6.328255351220082, 6.840237305249356,
+            7.411582531485469, 8.09876113925085,
+        ),
+        (
+            0.19105900966199035, 0.14992111176357079, 0.09217657917006082,
+            0.04427455520227683, 0.01653784414256942, 0.004773544881823361,
+            0.0010558790169018142, 0.00017707292879924028,
+            2.2211771432475823e-05, 2.048897436081468e-06,
+            1.3603424215748798e-07, 6.325897188548879e-09,
+            1.9891185260277685e-10, 4.0376385816952105e-12,
+            4.96808852919777e-14, 3.3898534432483255e-16,
+            1.1222752068271129e-18, 1.44860943155158e-21,
+            4.820467940200768e-25, 1.46183987386939e-29,
+        ),
+    ),
+    20: (
+        (
+            0.24534070830090124, 0.7374737285453944, 1.234076215395323,
+            1.7385377121165861, 2.2549740020892757, 2.7888060584281305,
+            3.3478545673832163, 3.944764040115625, 4.603682449550744,
+            5.387480890011233,
+        ),
+        (
+            0.2607930634495549, 0.16173933398399998, 0.0615063720639769,
+            0.013997837447101022, 0.00183010313108049, 0.00012882627996192928,
+            4.402121090230851e-06, 6.127490259982928e-08,
+            2.4820623623151755e-10, 1.2578006724379234e-13,
+        ),
+    ),
+    12: (
+        (
+            0.31424037625435913, 0.9477883912401638, 1.5976826351526048,
+            2.2795070805010598, 3.0206370251208896, 3.889724897869782,
+        ),
+        (
+            0.32166436151283, 0.14696704804532998, 0.02911668791236418,
+            0.002203380687533198, 4.8371849225906334e-05,
+            1.4999271676371695e-07,
+        ),
+    ),
+    8: (
+        (
+            0.3811869902073221, 1.1571937124467802, 1.981656756695843,
+            2.930637420257244,
+        ),
+        (
+            0.3730122576790775, 0.117239907661759, 0.009635220120788263,
+            0.0001126145383753679,
+        ),
+    ),
+}
+
+
+@functools.cache
+def _hermite(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of ``_hermite_rule``, the same read-only arrays on every
+    call.  The default orders are constants, ``_HERMITE_HALVES`` mirrored
+    about 0, so a default run solves no eigenproblem; the port builds every
+    other order once.  An unsupported order raises, so it is never cached,
+    and at most orders 1-370 are kept."""
+    if q not in _HERMITE_HALVES:
+        return _hermite_rule(q)
+    # The port's symmetrization makes the nodes odd and the weights even
+    # bit for bit, and every default order is even: no node is 0.
+    t, w = (np.array(half) for half in _HERMITE_HALVES[q])
+    t = np.concatenate((-t[::-1], t))
+    w = np.concatenate((w[::-1], w))
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w

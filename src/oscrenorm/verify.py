@@ -28,6 +28,7 @@ the CPU count or on which process ran which check.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import os
 import pickle
@@ -555,12 +556,22 @@ def _helper(todo: int, reply: int, checks, seed: int):
 def _run(checks: tuple, seed: int) -> list[CheckResult]:
     """The checks' results in order, run in this process and in one forked
     helper per further usable CPU (none with one CPU)."""
+    # Every check draws from numpy.random: load it once, before the fork,
+    # not once in each process.  Freezing the collector's heap keeps a
+    # helper's collections off the pages it shares with this process, which
+    # each would otherwise copy; a caller's own freeze is left as it is.
+    import numpy.random  # noqa: F401
+
     todo, feed = os.pipe()
     os.write(feed, bytes(range(len(checks))))
     os.close(feed)
     helpers = []
+    extra = min(len(os.sched_getaffinity(0)), len(checks)) - 1
+    freeze = extra > 0 and gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), len(checks)) - 1):
+        for _ in range(extra):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -583,6 +594,8 @@ def _run(checks: tuple, seed: int) -> list[CheckResult]:
         for pid, stream in helpers:
             stream.close()
             os.waitpid(pid, 0)
+        if freeze:
+            gc.unfreeze()
     return [results[i] for i in range(len(checks))]
 
 

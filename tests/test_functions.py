@@ -18,7 +18,7 @@ from oscrenorm import (
     wtilde,
 )
 from oscrenorm.functions import Polynomial, _directions
-from oscrenorm.gaussian import _hermite
+from oscrenorm.gaussian import DEFAULT_ORDERS, _HERMITE_HALVES, _hermite, _hermite_rule
 from oscrenorm.verify import _log_gaussian, find_check
 from conftest import count_linalg, perfbench_config, random_gl_pos, random_spd
 
@@ -364,15 +364,16 @@ class TestQuadratureRule:
     def test_wtilde_checks_and_factors_its_covariance_once(self, monkeypatch):
         P = Sym2Tensor([[1.0, 0.3], [0.3, 0.8]])
         I = FieldFunction.polynomial([((4, 0), -0.1), ((0, 4), -0.1)], dim=2)
-        _hermite(6)  # the 1-D rule takes an eigvalsh of its own, once
+        _hermite(6)  # order 6 is not tabulated: its rule takes an eigvalsh, once
         calls = count_linalg(monkeypatch)
         wtilde(P, I, order=6)
         assert calls == {"eigvalsh": 1, "cholesky": 1}
 
     def test_normalization_checks_and_factors_its_weight_once(self, monkeypatch, rng):
         # One draw in 2-D: N(C), whose log is the interaction, and the rule
-        # at 2C are each checked and factored once.
-        _hermite(20)
+        # at 2C are each checked and factored once. The default order's 1-D
+        # rule is a constant, so a cold cache adds no eigvalsh.
+        _hermite.cache_clear()
         calls = count_linalg(monkeypatch)
         find_check("gaussian-normalization").sample(rng, 2, 1)
         assert calls == {"eigvalsh": 2, "cholesky": 2}
@@ -395,10 +396,24 @@ class TestQuadratureRule:
         # The nodes and weights of every supported order are hermgauss's
         # bytes, the weights over sqrt(pi); -0.0 and 0.0 differ here.
         for q in range(1, 371):
-            t, w = _hermite.__wrapped__(q)
+            t, w = _hermite_rule(q)
             t0, w0 = np.polynomial.hermite.hermgauss(q)
             assert t.tobytes() == t0.tobytes(), q
             assert w.tobytes() == (w0 / math.sqrt(math.pi)).tobytes(), q
+
+    def test_tabulated_orders_are_the_default_orders(self):
+        assert sorted(_HERMITE_HALVES) == sorted(DEFAULT_ORDERS.values())
+
+    @pytest.mark.parametrize("q", sorted(DEFAULT_ORDERS.values()))
+    def test_tabulated_rule_is_the_port_without_an_eigvalsh(self, monkeypatch, q):
+        _hermite.cache_clear()
+        calls = count_linalg(monkeypatch)
+        t, w = _hermite(q)
+        assert calls == {"eigvalsh": 0, "cholesky": 0}
+        t0, w0 = _hermite_rule(q)
+        assert t.tobytes() == t0.tobytes() and w.tobytes() == w0.tobytes()
+        assert not t.flags.writeable and not w.flags.writeable
+        assert _hermite(q)[0] is t and _hermite(q)[1] is w
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_raises(self, order):

@@ -4,6 +4,7 @@ block of ``all``, whatever the CPU count, from one round of helpers."""
 
 import dataclasses
 import functools
+import gc
 import io
 import os
 import select
@@ -74,18 +75,37 @@ def test_results_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
 def test_one_run_forks_its_helpers_once(monkeypatch, cpus, helpers):
     # The four suites of "all" share one round of helpers.
     expected = run_all(0)
+    # The helpers fork with the heap frozen, and the run unfreezes it.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     fork, forked = os.fork, []
 
     def counting_fork():
+        frozen = gc.get_freeze_count()
         pid = fork()
         if pid:
-            forked.append(pid)
+            forked.append(frozen)
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    assert gc.get_freeze_count() == 0
     assert run_suite("all", 0) == expected
     assert len(forked) == helpers
+    assert all(frozen > 0 for frozen in forked)
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_callers_frozen_objects_stay_frozen(monkeypatch):
+    # A run under a caller's freeze neither freezes nor unfreezes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    unfreeze, calls = gc.unfreeze, []
+    gc.freeze()
+    try:
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(gc, "unfreeze", lambda: calls.append("unfreeze"))
+        assert run_suite("group", 0) == run_all(0)[: len(CHECKS["group"])]
+        assert calls == [] and gc.get_freeze_count() > 0
+    finally:
+        unfreeze()
 
 
 @pytest.mark.parametrize("raiser, module, name, suite", [
@@ -116,6 +136,7 @@ def test_error_in_a_check_is_raised_and_helpers_are_reaped(
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, failing)
+    assert gc.get_freeze_count() == 0
     try:
         with pytest.raises(Boom, match=f"{name} failed"):
             run_suite(suite, 0)
@@ -124,6 +145,7 @@ def test_error_in_a_check_is_raised_and_helpers_are_reaped(
         os.close(raised_w)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
 
 def test_helpers_do_not_repeat_buffered_output():
