@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -291,8 +292,8 @@ def _flow_record(
     config: RunConfig, c: float, points: np.ndarray, values: np.ndarray
 ) -> dict:
     samples = [
-        {"x": list(p), "value": float(v)}
-        for p, v in zip(config.sample_points, values)
+        {"x": list(p), "value": v}
+        for p, v in zip(config.sample_points, values.tolist())
     ]
     terms, residual = project_polynomial(points, values, config.projection_degree)
     projection = {
@@ -336,8 +337,7 @@ def cmd_flow(config: RunConfig, seed: int, out_path: str) -> int:
         b = twice.values(points)
         max_rel = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12)))
         payload["semigroup_check"] = {"c": c, "max_rel_error": max_rel}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return _write_output(out_path, text)
+    return _write_output(out_path, _json_text(payload) + "\n")
 
 
 def cmd_wtilde(config: RunConfig, out_path: str) -> int:
@@ -356,16 +356,63 @@ def cmd_wtilde(config: RunConfig, out_path: str) -> int:
         row.append(f"{values[i]:.12g}")
         row.append(f"{0.5 * quad_form(p, P) + values[len(points) + i]:.12g}")
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        sys.stdout.write(text)
-        return 0
-    return _write_output(out_path, text)
+    return _write_output(out_path, "\n".join(lines) + "\n")
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
+    a JSON value: dicts with str keys, lists, tuples, str, int, bool, None
+    and float (NaN and the infinities spelled as json spells them). The
+    flow output promises that layout. ``json`` would write it with its
+    pure-Python encoder, because on Python 3.10 and 3.11 it does not use
+    its C encoder when ``indent`` is set; this writer appends the pieces
+    to one list and joins them once, with fewer calls per value."""
+    parts = []
+    append = parts.append
+
+    def emit(v, pad):
+        if isinstance(v, float):
+            text = float.__repr__(v)
+            append(_SPECIAL_FLOATS.get(text, text))
+        elif isinstance(v, dict):
+            inner = pad + "  "
+            sep = "{" + inner
+            for key in sorted(v):
+                append(sep + encode_basestring_ascii(key) + ": ")
+                emit(v[key], inner)
+                sep = "," + inner
+            append(pad + "}" if v else "{}")
+        elif isinstance(v, (list, tuple)):
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in v:
+                append(sep)
+                emit(item, inner)
+                sep = "," + inner
+            append(pad + "]" if v else "[]")
+        elif isinstance(v, str):
+            append(encode_basestring_ascii(v))
+        elif v is None or v is True or v is False:
+            append("null" if v is None else "true" if v else "false")
+        elif isinstance(v, int):
+            append(int.__repr__(v))
+        else:
+            raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+    emit(value, "\n")
+    return "".join(parts)
 
 
 def _write_output(out_path: str, text: str) -> int:
-    """Write ``text`` to the file ``out_path``: 0, or 2 after an
-    ``error: cannot write output`` line when the file cannot be written."""
+    """Write ``text`` to stdout when ``out_path`` is ``-``, else to the
+    file ``out_path``: 0, or 2 after an ``error: cannot write output``
+    line when the file cannot be written."""
+    if out_path == "-":
+        sys.stdout.write(text)
+        return 0
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

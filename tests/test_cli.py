@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oscrenorm
 from oscrenorm import (
@@ -192,6 +194,36 @@ class TestFlowCommand:
         main(["flow", "--config", cfg, "--out", str(out1)])
         main(["flow", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_out_dash_prints_the_file_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        assert main(["flow", "--config", cfg, "--out", "flow.json"]) == 0
+        assert main(["flow", "--config", cfg, "--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / "flow.json").read_bytes()
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the semigroup check only records its gap; this 4-D "
+        "flow records 1.47e-3 at the default order 8 and exits 0 "
+        "(ROADMAP item 4)"))
+    def test_semigroup_gap_above_tolerance_exits_nonzero(self, tmp_path):
+        # Per-axis -0.1 x_i^4 - 0.2 x_i^2 with P0 = I, at x_i = 0.5.
+        terms = []
+        for axis in np.eye(4, dtype=int).tolist():
+            terms += [{"exponents": [4 * e for e in axis], "coeff": -0.1},
+                      {"exponents": [2 * e for e in axis], "coeff": -0.2}]
+        cfg = write_config(
+            tmp_path,
+            dimension=4,
+            propagator={"base": np.eye(4).tolist()},
+            interaction={"terms": terms},
+            scale_ladder=[1.0],
+            sample_points=[[0.5] * 4],
+            quadrature_order=None,
+            semigroup_check_c=4.0,
+        )
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "f.json")]) != 0
 
     def test_projection_lists_every_monomial(self, tmp_path):
         # On a grid symmetric about 0 the x^1 coefficient of -0.3 x^2 comes
@@ -719,3 +751,77 @@ class TestReadmeConfig:
         base = heat_kernel_base(hk["spatial_dim"], hk["sites"], 1.0, hk["mass"])
         assert base.dim == len(hk["sites"])
         assert is_positive_definite(base)
+
+
+#: Keys and strings that json escapes: non-ASCII, quotes, backslashes and
+#: control characters.
+AWKWARD_TEXT = st.text() | st.sampled_from(
+    ["", "é", "\"", "\\", "\x00", "\x1f", "\n\t\r", " ", "\ud800", "😀", "a\"b\\c"]
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63)
+    | st.integers(max_value=-(2**63))
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, math.nan, math.inf, -math.inf])
+    | AWKWARD_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(AWKWARD_TEXT, children)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """``cli._json_text`` writes what ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    @example({
+        "é\"\\\x00\n😀": [True, False, None, 2**64, -(2**70), 0, -0.0, 5e-324,
+                         1e-05, 1e16, math.nan, math.inf, -math.inf],
+        "": {},
+        "a": [],
+        "deep": [[{"b": [(1.5, {"c": {"d": []}})]}]],
+        "numpy": [np.float64(0.1), np.float64(-np.inf)],
+        "text": ["é", "\"\\", "\x1f", "\ud800", "😀"],
+    })
+    def test_bytes_of_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": object()})
+
+    @pytest.mark.parametrize("config", ["readme-1d", "2d-semigroup-check"])
+    def test_flow_output_is_the_stdlib_layout(self, tmp_path, config):
+        if config == "readme-1d":
+            (text,) = [b for b in readme_json_blocks() if b.startswith("{")]
+            cfg = tmp_path / "config.json"
+            cfg.write_text(text)
+        else:
+            cfg = write_config(
+                tmp_path,
+                dimension=2,
+                propagator={"base": [[1.0, 0.3], [0.3, 0.8]]},
+                interaction={"terms": [
+                    {"exponents": [4, 0], "coeff": -0.1},
+                    {"exponents": [0, 4], "coeff": -0.08},
+                    {"exponents": [2, 2], "coeff": -0.05},
+                ]},
+                sample_points=[[0.3, -0.4], [0.0, 0.0]],
+                quadrature_order=10,
+                semigroup_check_c=4.0,
+            )
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
