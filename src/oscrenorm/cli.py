@@ -423,7 +423,9 @@ def _write_output(out_path: str, text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """A ``verify --seed``: an integer >= 0, as numpy's generators take."""
+    """A ``--seed`` of ``verify`` or ``flow``: an integer >= 0, as numpy's
+    generators take. ``flow`` only records its seed, but takes the same
+    values."""
     try:
         seed = int(text)
     except ValueError:
@@ -446,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="emit a renormalization-flow table")
     p_flow.add_argument("--config", required=True)
-    p_flow.add_argument("--seed", type=int, default=0)
+    p_flow.add_argument("--seed", type=_seed, default=0)
     p_flow.add_argument("--out", required=True)
     p_flow.add_argument("--quadrature-order", type=int, default=None)
 

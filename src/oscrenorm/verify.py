@@ -18,11 +18,15 @@ own generator.
 
 The checks share no state, so a run, of one suite or of all of them, spreads
 its checks over every CPU the process may use. It forks one helper per extra
-CPU once per run, not once per suite, and runs checks itself. Every process
-takes check indices from one shared pipe until all are done, and each helper
-sends back its results, or the exception that stopped it, pickled. The
-results are put back in registry order, so the output does not depend on
-the CPU count or on which process ran which check.
+CPU once per run, not once per suite, and runs checks itself. Each process
+of the pool is pinned to its own CPU of the caller's affinity mask, because
+Linux keeps a freshly forked helper on its parent's CPU for about 100 ms,
+longer than all the checks take, so an unpinned pool shares one CPU; the
+caller's mask is restored when the run ends. Every process takes check
+indices from one shared pipe until all are done, and each helper sends back
+its results, or the exception that stopped it, pickled. The results are put
+back in registry order, so the output does not depend on the CPU count, on
+the pins or on which process ran which check.
 """
 
 from __future__ import annotations
@@ -534,11 +538,23 @@ def _take(todo: int, checks, seed: int) -> dict:
     return results
 
 
-def _helper(todo: int, reply: int, checks, seed: int):
-    """A forked helper's whole life: take checks, write its results or the
-    exception that stopped it to ``reply``, and exit without running the
-    caller's code, exit handlers or buffered output a second time."""
+def _pin(cpus) -> None:
+    """Run the calling thread on ``cpus`` only, as far as the kernel allows:
+    a mask it refuses (a CPU that is offline or not there) leaves the thread
+    as it was, and no result depends on the pin."""
     try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _helper(todo: int, reply: int, checks, seed: int, cpu: int):
+    """A forked helper's whole life: pin itself to ``cpu``, take checks,
+    write its results or the exception that stopped it to ``reply``, and exit
+    without running the caller's code, exit handlers or buffered output a
+    second time."""
+    try:
+        _pin((cpu,))
         try:
             sent = _take(todo, checks, seed)
         except BaseException as exc:
@@ -566,18 +582,27 @@ def _run(checks: tuple, seed: int) -> list[CheckResult]:
     os.write(feed, bytes(range(len(checks))))
     os.close(feed)
     helpers = []
-    extra = min(len(os.sched_getaffinity(0)), len(checks)) - 1
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    extra = min(len(cpus), len(checks)) - 1
     freeze = extra > 0 and gc.get_freeze_count() == 0
     if freeze:
         gc.freeze()
     try:
-        for _ in range(extra):
+        # Linux leaves a forked child on its parent's CPU for about 100 ms,
+        # longer than all the checks take, so an unpinned helper would share
+        # this process's CPU: helper k takes CPU k and this process the
+        # first. This process pins itself after the forks, so a helper whose
+        # pin is refused keeps the whole mask.
+        for cpu in cpus[1 : extra + 1]:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _helper(todo, write, checks, seed)
+                _helper(todo, write, checks, seed, cpu)
             os.close(write)
             helpers.append((pid, open(read, "rb")))
+        if extra:
+            _pin(cpus[:1])
         results = _take(todo, checks, seed)
         for pid, stream in helpers:
             payload = stream.read()
@@ -596,6 +621,8 @@ def _run(checks: tuple, seed: int) -> list[CheckResult]:
             os.waitpid(pid, 0)
         if freeze:
             gc.unfreeze()
+        if extra:
+            _pin(mask)
     return [results[i] for i in range(len(checks))]
 
 

@@ -203,6 +203,17 @@ class TestFlowCommand:
         assert capsys.readouterr().out.encode() == (tmp_path / "flow.json").read_bytes()
         assert not (tmp_path / "-").exists()
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # As for verify: the seed is an integer >= 0, and no file is written.
+        cfg, out = write_config(tmp_path), tmp_path / "flow.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--config", cfg, "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: oscrenorm flow")
+        assert "argument --seed: expected an integer >= 0, got '-1'" in err
+        assert not out.exists()
+
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: the semigroup check only records its gap; this 4-D "
         "flow records 1.47e-3 at the default order 8 and exits 0 "

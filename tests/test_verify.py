@@ -45,6 +45,21 @@ class Boom(Exception):
     pass
 
 
+#: A CPU number past any that the kernel schedules on: it refuses a pin to
+#: this CPU alone and drops it from a larger mask.
+NO_SUCH_CPU = 8191
+
+
+@pytest.fixture(autouse=True)
+def real_affinity():
+    """A run restores the mask that ``os.sched_getaffinity`` reported, so a
+    test that fakes the mask leaves the fake set; give the test process its
+    real mask back."""
+    mask = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, mask)
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_each_suite_is_its_block_of_all(seed):
     # Each check seeds its own generator, so running a suite alone changes
@@ -69,6 +84,45 @@ def test_seed_independent_lines_do_not_depend_on_the_seed():
 def test_results_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     assert run_suite("all", 0) == run_all(0)
+
+
+def test_a_run_restores_the_callers_affinity():
+    before = os.sched_getaffinity(0)
+    assert run_suite("all", 0) == run_all(0)
+    assert os.sched_getaffinity(0) == before
+
+
+def test_refused_pins_change_no_result(monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert run_suite("all", 0) == run_all(0)
+
+
+def test_each_process_asks_for_its_own_cpu(monkeypatch):
+    # The helper pins itself after the fork, so each call writes its
+    # process and mask to a pipe that outlives the helper.
+    parent, (asked_r, asked_w) = os.getpid(), os.pipe()
+
+    def record(pid, mask):
+        os.write(asked_w, f"{os.getpid() == parent} {sorted(mask)}\n".encode())
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2})
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    try:
+        assert run_suite("all", 0) == run_all(0)
+    finally:
+        os.close(asked_w)
+        with open(asked_r, "rb") as stream:
+            asked = stream.read().decode().splitlines()
+    # This process takes the first CPU and then gets the whole mask back;
+    # the helper takes the second.
+    assert [line for line in asked if line.startswith("True")] == [
+        "True [2]", "True [2, 5]"
+    ]
+    assert [line for line in asked if line.startswith("False")] == ["False [5]"]
 
 
 @pytest.mark.parametrize("cpus, helpers", [({0}, 0), ({0, 1}, 1)])
@@ -118,12 +172,15 @@ def test_a_callers_frozen_objects_stay_frozen(monkeypatch):
 def test_error_in_a_check_is_raised_and_helpers_are_reaped(
     monkeypatch, raiser, module, name, suite
 ):
-    # Two usable CPUs, so the run forks a helper even on a one-CPU host.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # One usable CPU more than the real mask, so the run forks a helper even
+    # on a one-CPU host; the kernel refuses that CPU, so the run's restored
+    # mask is the real one.
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: before | {NO_SUCH_CPU})
     parent, original = os.getpid(), getattr(module, name)
-    # The other process waits in its first call until the raiser has called
-    # (at most 30 s), so the raiser reaches the function even when few
-    # checks call it.
+    # Each other process waits in its first call until a raiser has called
+    # (at most 30 s), so a raiser reaches the function even when few checks
+    # call it.
     raised_r, raised_w = os.pipe()
     waited = []
 
@@ -146,6 +203,8 @@ def test_error_in_a_check_is_raised_and_helpers_are_reaped(
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
+    monkeypatch.undo()
+    assert os.sched_getaffinity(0) == before
 
 
 def test_helpers_do_not_repeat_buffered_output():
