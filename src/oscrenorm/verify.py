@@ -18,13 +18,14 @@ own generator.
 
 The checks share no state, so a run, of one suite or of all of them, spreads
 its checks over every CPU the process may use. It forks one helper per extra
-CPU once per run, not once per suite, and runs checks itself. Each process
-of the pool is pinned to its own CPU of the caller's affinity mask, because
-Linux keeps a freshly forked helper on its parent's CPU for about 100 ms,
-longer than all the checks take, so an unpinned pool shares one CPU; the
-caller's mask is restored when the run ends. Every process takes check
-indices from one shared pipe until all are done, and each helper sends back
-its results, or the exception that stopped it, pickled. The results are put
+CPU once per run, not once per suite, and runs checks itself. Each helper
+pins itself to its own CPU of the caller's affinity mask, one that the caller
+is not running on, because Linux keeps a freshly forked helper on its
+parent's CPU for about 100 ms, longer than all the checks take, so an
+unpinned pool shares one CPU. A helper's pin ends with the helper: the
+caller's own affinity is never changed. Every process takes check indices
+from one shared pipe until all are done, and each helper sends back its
+results, or the exception that stopped it, pickled. The results are put
 back in registry order, so the output does not depend on the CPU count, on
 the pins or on which process ran which check.
 """
@@ -538,23 +539,29 @@ def _take(todo: int, checks, seed: int) -> dict:
     return results
 
 
-def _pin(cpus) -> None:
-    """Run the calling thread on ``cpus`` only, as far as the kernel allows:
-    a mask it refuses (a CPU that is offline or not there) leaves the thread
-    as it was, and no result depends on the pin."""
+def _this_cpu() -> int | None:
+    """The CPU the calling thread runs on, from the kernel's ``stat`` line
+    for it (field 39), or None where ``/proc`` cannot be read."""
     try:
-        os.sched_setaffinity(0, cpus)
+        with open("/proc/thread-self/stat", "rb") as stat:
+            line = stat.read()
     except OSError:
-        pass
+        return None
+    # The command name, in parentheses, may hold spaces: count from its end.
+    return int(line.rsplit(b")", 1)[1].split()[36])
 
 
 def _helper(todo: int, reply: int, checks, seed: int, cpu: int):
     """A forked helper's whole life: pin itself to ``cpu``, take checks,
     write its results or the exception that stopped it to ``reply``, and exit
     without running the caller's code, exit handlers or buffered output a
-    second time."""
+    second time. A pin the kernel refuses (a CPU that is offline or not
+    there) leaves the helper unpinned, and no result depends on the pin."""
     try:
-        _pin((cpu,))
+        try:
+            os.sched_setaffinity(0, (cpu,))
+        except OSError:
+            pass
         try:
             sent = _take(todo, checks, seed)
         except BaseException as exc:
@@ -582,8 +589,7 @@ def _run(checks: tuple, seed: int) -> list[CheckResult]:
     os.write(feed, bytes(range(len(checks))))
     os.close(feed)
     helpers = []
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
+    cpus = sorted(os.sched_getaffinity(0))
     extra = min(len(cpus), len(checks)) - 1
     freeze = extra > 0 and gc.get_freeze_count() == 0
     if freeze:
@@ -591,18 +597,17 @@ def _run(checks: tuple, seed: int) -> list[CheckResult]:
     try:
         # Linux leaves a forked child on its parent's CPU for about 100 ms,
         # longer than all the checks take, so an unpinned helper would share
-        # this process's CPU: helper k takes CPU k and this process the
-        # first. This process pins itself after the forks, so a helper whose
-        # pin is refused keeps the whole mask.
-        for cpu in cpus[1 : extra + 1]:
+        # this process's CPU: helper k takes the k-th CPU of the mask other
+        # than the one this process runs on, and this process stays where it
+        # is, unpinned.
+        here = _this_cpu()
+        for cpu in [c for c in cpus if c != here][:extra]:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 _helper(todo, write, checks, seed, cpu)
             os.close(write)
             helpers.append((pid, open(read, "rb")))
-        if extra:
-            _pin(cpus[:1])
         results = _take(todo, checks, seed)
         for pid, stream in helpers:
             payload = stream.read()
@@ -621,8 +626,6 @@ def _run(checks: tuple, seed: int) -> list[CheckResult]:
             os.waitpid(pid, 0)
         if freeze:
             gc.unfreeze()
-        if extra:
-            _pin(mask)
     return [results[i] for i in range(len(checks))]
 
 

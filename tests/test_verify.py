@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscrenorm
-from oscrenorm import NotPositiveDefinite, functions, gaussian, oscgroup, tensors
+from oscrenorm import (
+    NotPositiveDefinite, functions, gaussian, oscgroup, tensors, verify
+)
 from oscrenorm.cli import cmd_verify, main
 from oscrenorm.verify import (
     CHECKS,
@@ -43,21 +45,6 @@ def run_all(seed):
 
 class Boom(Exception):
     pass
-
-
-#: A CPU number past any that the kernel schedules on: it refuses a pin to
-#: this CPU alone and drops it from a larger mask.
-NO_SUCH_CPU = 8191
-
-
-@pytest.fixture(autouse=True)
-def real_affinity():
-    """A run restores the mask that ``os.sched_getaffinity`` reported, so a
-    test that fakes the mask leaves the fake set; give the test process its
-    real mask back."""
-    mask = os.sched_getaffinity(0)
-    yield
-    os.sched_setaffinity(0, mask)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -86,10 +73,14 @@ def test_results_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     assert run_suite("all", 0) == run_all(0)
 
 
-def test_a_run_restores_the_callers_affinity():
+def test_a_run_leaves_the_callers_affinity():
     before = os.sched_getaffinity(0)
     assert run_suite("all", 0) == run_all(0)
     assert os.sched_getaffinity(0) == before
+
+
+def test_this_cpu_is_one_of_the_mask():
+    assert verify._this_cpu() in os.sched_getaffinity(0)
 
 
 def test_refused_pins_change_no_result(monkeypatch):
@@ -101,7 +92,8 @@ def test_refused_pins_change_no_result(monkeypatch):
     assert run_suite("all", 0) == run_all(0)
 
 
-def test_each_process_asks_for_its_own_cpu(monkeypatch):
+@pytest.mark.parametrize("here, other", [(2, 5), (5, 2), (None, 2)])
+def test_the_helper_asks_for_a_cpu_the_caller_is_not_on(monkeypatch, here, other):
     # The helper pins itself after the fork, so each call writes its
     # process and mask to a pipe that outlives the helper.
     parent, (asked_r, asked_w) = os.getpid(), os.pipe()
@@ -111,18 +103,16 @@ def test_each_process_asks_for_its_own_cpu(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2})
     monkeypatch.setattr(os, "sched_setaffinity", record)
+    monkeypatch.setattr(verify, "_this_cpu", lambda: here)
     try:
         assert run_suite("all", 0) == run_all(0)
     finally:
         os.close(asked_w)
         with open(asked_r, "rb") as stream:
             asked = stream.read().decode().splitlines()
-    # This process takes the first CPU and then gets the whole mask back;
-    # the helper takes the second.
-    assert [line for line in asked if line.startswith("True")] == [
-        "True [2]", "True [2, 5]"
-    ]
-    assert [line for line in asked if line.startswith("False")] == ["False [5]"]
+    # The caller is never pinned; where it cannot tell its CPU, the helper
+    # takes the first.
+    assert asked == [f"False [{other}]"]
 
 
 @pytest.mark.parametrize("cpus, helpers", [({0}, 0), ({0, 1}, 1)])
@@ -172,15 +162,13 @@ def test_a_callers_frozen_objects_stay_frozen(monkeypatch):
 def test_error_in_a_check_is_raised_and_helpers_are_reaped(
     monkeypatch, raiser, module, name, suite
 ):
-    # One usable CPU more than the real mask, so the run forks a helper even
-    # on a one-CPU host; the kernel refuses that CPU, so the run's restored
-    # mask is the real one.
+    # Two usable CPUs, so the run forks a helper even on a one-CPU host.
     before = os.sched_getaffinity(0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: before | {NO_SUCH_CPU})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent, original = os.getpid(), getattr(module, name)
-    # Each other process waits in its first call until a raiser has called
-    # (at most 30 s), so a raiser reaches the function even when few checks
-    # call it.
+    # The other process waits in its first call until the raiser has called
+    # (at most 30 s), so the raiser reaches the function even when few
+    # checks call it.
     raised_r, raised_w = os.pipe()
     waited = []
 
