@@ -395,7 +395,10 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
     at the nodes, built once here.
     A chunk of max(1, ``_EXPAND_ROWS`` // q^n) points takes its (m, |g|)
     monomial table, one BLAS product of each point's row with W, and the
-    same log sums.  Each point is its own (1, |g|) @ (|g|, q^n) product
+    same log sums.  The products go into one exponent block per call, which
+    every chunk overwrites: a fresh block per chunk costs its page faults
+    again, and a block per function would be shared by two threads that
+    evaluate it at once.  Each point is its own (1, |g|) @ (|g|, q^n) product
     (gemv): a product of several rows (gemm) can round a row otherwise by
     the number of rows beside it and by the BLAS thread count, and then a
     value would depend on its block.
@@ -448,6 +451,7 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
     def expanded(X):
         out = np.empty(len(X))
         per_chunk = max(1, _EXPAND_ROWS // nodes)
+        block = np.empty((min(per_chunk, len(X)), 1, nodes))
         for lo in range(0, len(X), per_chunk):
             x = X[lo:lo + per_chunk]
             table = monomials.design_matrix(x)
@@ -455,7 +459,7 @@ def wtilde(P: Sym2Tensor, I: FieldFunction, order: int | None = None) -> FieldFu
             # warns as it always has.
             with np.errstate(over="ignore", invalid="ignore"):
                 # One (1, |g|) @ (|g|, q^n) product per point, as a stack.
-                e = (table[:, None, :] @ W).reshape(len(x), nodes)
+                e = np.matmul(table[:, None, :], W, out=block[:len(x)]).reshape(len(x), nodes)
                 e += log_weights
                 value = _log_sums(e)
                 bound = np.sum(np.abs(table) * size, axis=1)

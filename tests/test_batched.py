@@ -7,6 +7,8 @@ fire for a single bad row.
 """
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +260,44 @@ def test_chunks_bound_the_integrand_rows():
     wtilde(Sym2Tensor([[1.0]]), I, order=10).values(np.zeros((1000, 1)))
     assert max(rows) <= functions._CHUNK_ROWS
     assert sum(rows) == 1000 * 10
+
+
+def test_expansion_chunks_share_one_exponent_block():
+    # 350 points in chunks of 100: four chunks, each of whose exponent
+    # blocks would hold 100 x 400 floats.
+    P, q, per_chunk = Sym2Tensor([[1.0, 0.3], [0.3, 0.8]]), 20, 100
+    f = in_chunks_of(per_chunk, wtilde(P, interaction(2), order=q), q**2)
+    X = np.asfortranarray(np.random.default_rng(5).uniform(-1.0, 1.0, size=(350, 2)))
+    block = per_chunk * q**2 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f.values(X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block
+
+
+def test_expansion_path_is_safe_across_threads():
+    # Each call owns its exponent block: two threads evaluating one function
+    # at once each get the bits of a serial call.
+    f = wtilde(Sym2Tensor([[1.0, 0.3], [0.3, 0.8]]), interaction(2), order=20)
+    per_chunk = functions._EXPAND_ROWS // 400
+    rng = np.random.default_rng(11)
+    blocks = [rng.uniform(-1.0, 1.0, size=(3 * per_chunk + 7, 2)) for _ in range(2)]
+    want = [f.values(X).tobytes() for X in blocks]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        for _ in range(5):
+            got[i].append(f.values(blocks[i]).tobytes())
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert [g == [w] * 5 for g, w in zip(got, want)] == [True, True]
